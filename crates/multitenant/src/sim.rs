@@ -147,9 +147,6 @@ pub struct Simulation {
     stage_lines: Vec<LineAddr>,
     /// Batched access results, parallel to `stage_lines`.
     stage_out: Vec<Access>,
-    /// Fixed-latency event lane for `WarpStart` re-issues at the current
-    /// cycle (see [`EventQueue::push_lane`]).
-    lane_start: usize,
     /// The next `events_processed` boundary (a 64 Ki multiple) at which the
     /// wall-clock budget is sampled; batched counting can jump past a
     /// boundary, so the check compares against this instead of testing
@@ -208,15 +205,6 @@ impl Simulation {
         // tenant-local warp order, for the generator threads.
         let mut gen_streams: Vec<Vec<WarpStream>> = vec![Vec::new(); n_tenants];
         let mut events = EventQueue::new();
-        // Fixed-latency fast lane for zero-latency `WarpStart` re-issues:
-        // pushes at the (monotone) current cycle skip the generic calendar
-        // insert and drain wholesale. The queue splices lanes back in
-        // insertion order, so routing through one is behavior-preserving.
-        // Positive-latency completions (e.g. L1 hits at `now + 25`) stay on
-        // the calendar: its bucket push is already O(1), so a lane saves
-        // nothing there and the drain-time splice costs ~5% end-to-end
-        // (measured; see EXPERIMENTS.md).
-        let lane_start = events.add_lane();
         for sm in 0..cfg.n_sms {
             let tenant = TenantId((sm / sms_per_tenant) as u8);
             sms.push(SmState::new(cfg.sm, tenant));
@@ -308,7 +296,6 @@ impl Simulation {
             stage: Vec::new(),
             stage_lines: Vec::new(),
             stage_out: Vec::new(),
-            lane_start,
             next_wall_check: next_wall_boundary(0),
             pipeline: pipelined.then(|| StreamPipeline::spawn(gen_streams)),
             sms_per_tenant,
@@ -678,9 +665,8 @@ impl Simulation {
         // Cycle-batched drain: pull every same-cycle event in one queue
         // operation, then dispatch them in the exact order the scalar
         // per-event loop would have popped them. Events pushed back at the
-        // current cycle land in the (now empty) ring bucket or a fast lane
-        // and form the next batch, preserving FIFO order within the cycle
-        // (the queue merges lanes back by global insertion order).
+        // current cycle land in the (now empty) ring bucket and form the
+        // next batch, preserving FIFO order within the cycle.
         let max_cycles = self.cfg.max_cycles;
         let mut batch: Vec<Event> = Vec::with_capacity(256);
         'run: while let Some(at) = self.events.drain_cycle_into(&mut batch) {
@@ -1158,10 +1144,7 @@ impl Simulation {
         debug_assert!(w.outstanding > 0, "ref completion without outstanding refs");
         w.outstanding -= 1;
         if w.outstanding == 0 {
-            // Zero-latency re-issue: `self.now` is monotone, so this rides
-            // the dedicated fast lane instead of the calendar insert.
-            self.events.push_lane(
-                self.lane_start,
+            self.events.push(
                 self.now,
                 Event::WarpStart {
                     sm: sm as u16,

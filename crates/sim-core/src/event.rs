@@ -13,20 +13,6 @@
 //! amortized O(1) instead of the O(log n) a heap pays per memory op.
 //! [`BinaryHeapQueue`] is the previous heap-based implementation, kept as a
 //! differential-testing reference model and benchmark baseline.
-//!
-//! Completions with a *fixed* latency (an L1 hit always lands `now + 25`
-//! cycles out, a zero-latency follow-up at `now`) additionally get a
-//! timing-wheel fast lane: [`EventQueue::add_lane`] registers a
-//! per-latency-class FIFO ring and [`EventQueue::push_lane`] appends to it
-//! without touching the calendar's bucket index or occupancy bitmaps,
-//! because such pushes arrive already sorted by cycle. The ordering burden
-//! rides entirely on the (minority) lane entries: each records the number
-//! of calendar events already inserted at its cycle, so the pop/drain paths
-//! can splice lanes back into the bucket run at exactly their insertion
-//! points. Calendar pushes stay byte-for-byte the plain-queue fast path —
-//! no per-entry sequence stamp — and interleaving lanes with calendar
-//! pushes remains bit-identical to pushing everything through
-//! [`EventQueue::push`].
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -70,17 +56,6 @@ impl<T> Ord for FarEntry<T> {
     }
 }
 
-/// A lane event: `pos` is the event's insertion point within its cycle's
-/// calendar run (see [`EventQueue::push_lane`]), `seq` breaks ties between
-/// lanes that recorded the same `pos`.
-#[derive(Debug, Clone)]
-struct LaneEntry<T> {
-    at: Cycle,
-    pos: u64,
-    seq: u64,
-    payload: T,
-}
-
 /// A calendar event queue with deterministic FIFO ordering within a cycle.
 ///
 /// # Examples
@@ -121,22 +96,6 @@ pub struct EventQueue<T> {
     far: BinaryHeap<FarEntry<T>>,
     /// Insertion counter for FIFO tie-breaking among heap events.
     far_seq: u64,
-    /// Fixed-latency timing-wheel lanes (see [`EventQueue::add_lane`]).
-    /// Each is a plain FIFO whose entries are non-decreasing in cycle.
-    lanes: Vec<VecDeque<LaneEntry<T>>>,
-    /// Total events currently across all lanes.
-    in_lanes: usize,
-    /// Insertion counter for lane pushes only; orders two lane events that
-    /// recorded the same `pos` at the same cycle.
-    lane_seq: u64,
-    /// The cycle whose bucket run is partially consumed (`u64::MAX` when
-    /// none) and how many of its calendar events have been popped so far.
-    /// A lane push at this cycle must count those already-popped events
-    /// into its `pos`, and the merge resumes its bucket index from here, so
-    /// the two sides keep agreeing on insertion points across interleaved
-    /// pushes and pops at the same cycle.
-    consumed_at: u64,
-    consumed: u64,
 }
 
 impl<T> EventQueue<T> {
@@ -151,61 +110,7 @@ impl<T> EventQueue<T> {
             cursor: 0,
             far: BinaryHeap::new(),
             far_seq: 0,
-            lanes: Vec::new(),
-            in_lanes: 0,
-            lane_seq: 0,
-            consumed_at: u64::MAX,
-            consumed: 0,
         }
-    }
-
-    /// Registers a fixed-latency fast lane and returns its id for
-    /// [`EventQueue::push_lane`].
-    ///
-    /// A lane is a timing wheel degenerated to a single FIFO ring: because
-    /// its events are completions at `now + const_lat` and `now` only moves
-    /// forward, pushes arrive already sorted by cycle, so the lane needs no
-    /// bucket indexing, no occupancy bitmap, and no window check.
-    pub fn add_lane(&mut self) -> usize {
-        self.lanes.push(VecDeque::new());
-        self.lanes.len() - 1
-    }
-
-    /// Schedules `payload` at cycle `at` on a fixed-latency lane.
-    ///
-    /// Bit-identical in pop order to [`EventQueue::push`]: the entry
-    /// records how many calendar events already exist at its cycle (bucket
-    /// length plus any popped earlier this cycle), which *is* its insertion
-    /// point in the scalar order, and the pop/drain paths splice the lane
-    /// back in at exactly that point. Pure calendar traffic therefore pays
-    /// nothing for the lanes' existence. The caller must push each lane's
-    /// events in non-decreasing cycle order (completions at `now + const`
-    /// are: `now` is monotone); this is debug-asserted.
-    pub fn push_lane(&mut self, lane: usize, at: Cycle, payload: T) {
-        let c = at.0;
-        if c < self.cursor || c - self.cursor >= BUCKETS as u64 {
-            // Outside the calendar window — cannot happen for a `now +
-            // const` completion (the window dwarfs every fixed latency),
-            // but degrade to the generic path rather than misorder.
-            debug_assert!(false, "lane push outside the calendar window");
-            return self.push(at, payload);
-        }
-        let b = (c as usize) & (BUCKETS - 1);
-        let already = if self.consumed_at == c { self.consumed } else { 0 };
-        let pos = already + self.buckets[b].len() as u64;
-        let fifo = &mut self.lanes[lane];
-        debug_assert!(
-            !fifo.back().is_some_and(|back| back.at > at),
-            "lane pushes must be monotone in cycle"
-        );
-        fifo.push_back(LaneEntry {
-            at,
-            pos,
-            seq: self.lane_seq,
-            payload,
-        });
-        self.lane_seq += 1;
-        self.in_lanes += 1;
     }
 
     #[inline]
@@ -221,17 +126,6 @@ impl<T> EventQueue<T> {
         self.occ[w] &= !(1u64 << (bucket & 63));
         if self.occ[w] == 0 {
             self.occ_summary &= !(1u64 << w);
-        }
-    }
-
-    /// Records `n` calendar events popped at cycle `c` (see `consumed_at`).
-    #[inline]
-    fn note_consumed(&mut self, c: u64, n: u64) {
-        if self.consumed_at == c {
-            self.consumed += n;
-        } else {
-            self.consumed_at = c;
-            self.consumed = n;
         }
     }
 
@@ -286,31 +180,12 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// The due lane with the earliest insertion point at cycle `at`, as
-    /// `(pos, lane index)`; `usize::MAX` as the index when none.
-    #[inline]
-    fn best_due_lane(&self, at: Cycle) -> (u64, usize) {
-        let (mut pos, mut seq, mut lane) = (u64::MAX, u64::MAX, usize::MAX);
-        for (i, fifo) in self.lanes.iter().enumerate() {
-            if let Some(front) = fifo.front() {
-                if front.at == at && (front.pos, front.seq) < (pos, seq) {
-                    pos = front.pos;
-                    seq = front.seq;
-                    lane = i;
-                }
-            }
-        }
-        (pos, lane)
-    }
-
     /// Removes and returns the earliest event; same-cycle events come back
     /// in insertion order.
     ///
-    /// Within a tied cycle the order is: heap entries first (an event lands
-    /// in the heap only while its cycle is outside the window, which rules
-    /// out any in-window push at that cycle having come earlier), then the
-    /// bucket run with lane entries spliced in at their recorded insertion
-    /// points — together the exact order the pushes arrived in.
+    /// Within a tied cycle heap entries come first: an event lands in the
+    /// heap only while its cycle is outside the window, which rules out any
+    /// in-window push at that cycle having come earlier.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
         let at = self.next_cycle()?;
         let c = at.0;
@@ -324,26 +199,16 @@ impl<T> EventQueue<T> {
             }
             return Some((at, e.payload));
         }
-        // Ring and lane events are never behind the window (ring events by
-        // construction, lane pushes by the window check), so the earliest
-        // cycle is at or ahead of the cursor.
+        // Ring events are never behind the window, so the earliest cycle is
+        // at or ahead of the cursor.
         self.cursor = c;
         let b = (c as usize) & (BUCKETS - 1);
-        let idx = if self.consumed_at == c { self.consumed } else { 0 };
-        let (pos, lane) = self.best_due_lane(at);
-        let bucket_due = self.in_ring > 0 && !self.buckets[b].is_empty();
-        if lane != usize::MAX && (pos <= idx || !bucket_due) {
-            let e = self.lanes[lane].pop_front().expect("peeked entry");
-            self.in_lanes -= 1;
-            return Some((at, e.payload));
-        }
         let bucket = &mut self.buckets[b];
-        let payload = bucket.pop_front()?;
+        let payload = bucket.pop_front().expect("occupied per bitmap");
         self.in_ring -= 1;
         if bucket.is_empty() {
             self.clear_bit(b);
         }
-        self.note_consumed(c, 1);
         Some((at, payload))
     }
 
@@ -371,103 +236,33 @@ impl<T> EventQueue<T> {
         }
         self.cursor = c;
         let b = (c as usize) & (BUCKETS - 1);
-        let bucket_due = self.in_ring > 0 && !self.buckets[b].is_empty();
-        let mut due_lanes = 0usize;
-        let mut last_due = usize::MAX;
-        for (i, fifo) in self.lanes.iter().enumerate() {
-            if fifo.front().is_some_and(|front| front.at == at) {
-                due_lanes += 1;
-                last_due = i;
-            }
+        if self.in_ring > 0 && !self.buckets[b].is_empty() {
+            let bucket = &mut self.buckets[b];
+            self.in_ring -= bucket.len();
+            buf.extend(bucket.drain(..));
+            self.clear_bit(b);
         }
-        // Fast paths: a single due source is one contiguous insertion-order
-        // run that can be moved wholesale.
-        if due_lanes == 0 {
-            if bucket_due {
-                let bucket = &mut self.buckets[b];
-                let n = bucket.len();
-                self.in_ring -= n;
-                buf.extend(bucket.drain(..));
-                self.clear_bit(b);
-                self.note_consumed(c, n as u64);
-            }
-            return Some(at);
-        }
-        if due_lanes == 1 && !bucket_due {
-            let fifo = &mut self.lanes[last_due];
-            while fifo.front().is_some_and(|front| front.at == at) {
-                buf.push(fifo.pop_front().expect("peeked entry").payload);
-                self.in_lanes -= 1;
-            }
-            return Some(at);
-        }
-        // General path: splice the due lanes into the bucket run at their
-        // recorded insertion points. `idx` is the absolute index of the
-        // bucket front within the cycle's calendar run; a due lane whose
-        // `pos` has been reached was pushed before that calendar event.
-        // Bucket events move wholesale in the runs between insertion
-        // points, so only the (minority) lane events pay a per-event scan.
-        let mut idx = if self.consumed_at == c { self.consumed } else { 0 };
-        loop {
-            let (pos, lane) = self.best_due_lane(at);
-            if lane == usize::MAX {
-                let bucket = &mut self.buckets[b];
-                let n = bucket.len();
-                if n > 0 {
-                    self.in_ring -= n;
-                    idx += n as u64;
-                    buf.extend(bucket.drain(..));
-                }
-                break;
-            }
-            if pos > idx {
-                let bucket = &mut self.buckets[b];
-                // `pos - idx` bucket events precede this lane event; if the
-                // bucket runs dry short of that (impossible while the pos
-                // invariant holds), degrade to popping the lane.
-                let take = ((pos - idx) as usize).min(bucket.len());
-                if take > 0 {
-                    self.in_ring -= take;
-                    idx += take as u64;
-                    buf.extend(bucket.drain(..take));
-                }
-            }
-            let e = self.lanes[lane].pop_front().expect("peeked entry");
-            self.in_lanes -= 1;
-            buf.push(e.payload);
-        }
-        self.clear_bit(b);
-        self.consumed_at = c;
-        self.consumed = idx;
         Some(at)
     }
 
     /// The cycle of the earliest pending event, without removing it.
     #[must_use]
     pub fn next_cycle(&self) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
+        let far_at = self.far.peek().map(|e| e.at);
         if self.in_ring > 0 {
-            next = Some(Cycle(self.next_ring_cycle()));
-        }
-        if let Some(f) = self.far.peek() {
-            if !next.is_some_and(|n| n <= f.at) {
-                next = Some(f.at);
+            let ring_c = self.next_ring_cycle();
+            if far_at.is_some_and(|f| f.0 <= ring_c) {
+                return far_at;
             }
+            return Some(Cycle(ring_c));
         }
-        for lane in &self.lanes {
-            if let Some(front) = lane.front() {
-                if !next.is_some_and(|n| n <= front.at) {
-                    next = Some(front.at);
-                }
-            }
-        }
-        next
+        far_at
     }
 
     /// Number of pending events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.in_ring + self.far.len() + self.in_lanes
+        self.in_ring + self.far.len()
     }
 
     /// Whether no events are pending.
@@ -838,134 +633,6 @@ mod tests {
         }
         for seed in 408..412 {
             differential_drain_run(seed, 4_000, BUCKETS as u64 * 3);
-        }
-    }
-
-    #[test]
-    fn lane_pushes_interleave_with_calendar_in_insertion_order() {
-        let mut q = EventQueue::new();
-        let lane = q.add_lane();
-        q.push(Cycle(5), "calendar-1");
-        q.push_lane(lane, Cycle(5), "lane-1");
-        q.push(Cycle(5), "calendar-2");
-        q.push_lane(lane, Cycle(7), "lane-2");
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.next_cycle(), Some(Cycle(5)));
-        assert_eq!(q.pop(), Some((Cycle(5), "calendar-1")));
-        assert_eq!(q.pop(), Some((Cycle(5), "lane-1")));
-        assert_eq!(q.pop(), Some((Cycle(5), "calendar-2")));
-        assert_eq!(q.pop(), Some((Cycle(7), "lane-2")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn drain_cycle_merges_lanes_heap_and_ring_in_insertion_order() {
-        let mut q = EventQueue::new();
-        let zero = q.add_lane();
-        let fixed = q.add_lane();
-        // Heap entry for cycle c (pushed while the window is far away).
-        let c = BUCKETS as u64 + 50;
-        q.push(Cycle(c), 0u32);
-        q.push(Cycle(c - 1), 99);
-        assert_eq!(q.pop(), Some((Cycle(c - 1), 99)));
-        // Now interleave ring and lane pushes at cycle c.
-        q.push(Cycle(c), 1);
-        q.push_lane(fixed, Cycle(c), 2);
-        q.push(Cycle(c), 3);
-        q.push_lane(zero, Cycle(c), 4);
-        let mut buf = Vec::new();
-        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(c)));
-        // Heap entry is oldest, then strict insertion order across sources.
-        assert_eq!(buf, [0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn lane_splices_into_partially_popped_cycle() {
-        // A lane push *between* single pops at the same cycle must count
-        // the already-popped calendar events into its insertion point.
-        let mut q = EventQueue::new();
-        let lane = q.add_lane();
-        q.push(Cycle(4), 1);
-        q.push(Cycle(4), 2);
-        assert_eq!(q.pop(), Some((Cycle(4), 1)));
-        q.push_lane(lane, Cycle(4), 3);
-        q.push(Cycle(4), 4);
-        assert_eq!(q.pop(), Some((Cycle(4), 2)));
-        assert_eq!(q.pop(), Some((Cycle(4), 3)));
-        let mut buf = Vec::new();
-        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(4)));
-        assert_eq!(buf, [4]);
-    }
-
-    /// Drives an [`EventQueue`] whose fixed-latency pushes go through lanes
-    /// against the reference model where every push is generic, simulating
-    /// the real usage pattern: `now` advances monotonically and each lane
-    /// always receives `now + const_lat`.
-    fn differential_lane_run(seed: u64, ops: usize, horizon: u64, pop_one: bool) {
-        const LANE_LATS: [u64; 2] = [0, 25];
-        let mut rng = SimRng::new(seed);
-        let mut wheeled = EventQueue::new();
-        let lanes: Vec<usize> = LANE_LATS.iter().map(|_| wheeled.add_lane()).collect();
-        let mut reference = BinaryHeapQueue::new();
-        let mut now = 0u64;
-        let mut next_id = 0u64;
-        let mut buf = Vec::new();
-        for _ in 0..ops {
-            if rng.chance(0.6) || wheeled.is_empty() {
-                if rng.chance(0.5) {
-                    // A fixed-latency completion relative to `now`.
-                    let li = rng.next_below(LANE_LATS.len() as u64) as usize;
-                    let at = Cycle(now + LANE_LATS[li]);
-                    wheeled.push_lane(lanes[li], at, next_id);
-                    reference.push(at, next_id);
-                } else {
-                    let at = Cycle(now + rng.next_below(horizon));
-                    wheeled.push(at, next_id);
-                    reference.push(at, next_id);
-                }
-                next_id += 1;
-            } else if pop_one {
-                assert_eq!(wheeled.next_cycle(), reference.next_cycle());
-                let got = wheeled.pop();
-                assert_eq!(got, reference.pop());
-                if let Some((at, _)) = got {
-                    now = at.0;
-                }
-            } else {
-                buf.clear();
-                let at = wheeled.drain_cycle_into(&mut buf).expect("non-empty");
-                now = at.0;
-                for &got in &buf {
-                    assert_eq!(reference.pop(), Some((at, got)));
-                }
-                assert_ne!(wheeled.next_cycle(), Some(at), "cycle not fully drained");
-            }
-            assert_eq!(wheeled.len(), reference.len());
-        }
-        loop {
-            let got = wheeled.pop();
-            assert_eq!(got, reference.pop());
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn lanes_match_reference_model() {
-        for seed in 500..504 {
-            differential_lane_run(seed, 4_000, 300, true);
-            differential_lane_run(seed, 4_000, 300, false);
-        }
-        // Dense ties: most events land on the same few cycles, so every
-        // drain exercises the splice merge.
-        for seed in 504..508 {
-            differential_lane_run(seed, 4_000, 3, false);
-        }
-        // Far-future generic pushes force heap/lane/ring three-way merges.
-        for seed in 508..512 {
-            differential_lane_run(seed, 4_000, BUCKETS as u64 * 3, false);
         }
     }
 }

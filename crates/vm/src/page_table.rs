@@ -6,8 +6,13 @@
 //! number. Interior nodes and leaf frames are allocated lazily from a shared
 //! [`FrameAlloc`] the first time a page is touched — mirroring first-touch
 //! demand allocation.
+//!
+//! The host-side layout is the radix tree itself: every node is a 512-slot
+//! array next to the simulated frame that holds it, so a walk does one
+//! indexed load per level and host memory grows with the page-table frames
+//! allocated, not with the span of VPNs touched.
 
-use walksteal_sim_core::{FnvMap, PhysAddr, Ppn, TenantId, Vpn};
+use walksteal_sim_core::{PhysAddr, Ppn, TenantId, Vpn};
 
 use crate::frame::FrameAlloc;
 use crate::page::PageSize;
@@ -15,14 +20,15 @@ use crate::page::PageSize;
 /// Size of one page-table entry in bytes.
 pub const PTE_BYTES: u64 = 8;
 
-/// Packs an interior-node map key into one word (single-`u64` FNV hash).
-/// Prefixes stay far below 2^60: a level-`L` prefix is the VPN shifted
-/// right by at least one 9-bit radix step.
-#[inline]
-fn node_key(level: usize, prefix: u64) -> u64 {
-    debug_assert!(level < 16 && prefix < 1 << 60, "node key fields overflow");
-    ((level as u64) << 60) | prefix
-}
+/// Entries per node: one 4 KB frame of [`PTE_BYTES`]-byte entries,
+/// whatever the data page size.
+const FANOUT: usize = 512;
+
+/// Mask selecting a node's slot from an index-prefix.
+const SLOT_MASK: u64 = FANOUT as u64 - 1;
+
+/// An unset slot: no child node, or no page mapped.
+const EMPTY: u64 = u64::MAX;
 
 /// The result of resolving a [`Vpn`] through the radix tree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -35,6 +41,29 @@ pub struct WalkPath {
     pub node_addrs: Vec<PhysAddr>,
     /// The translated frame.
     pub ppn: Ppn,
+}
+
+/// One page-table node and the simulated frame that holds it.
+#[derive(Debug, Clone)]
+struct Node {
+    frame: Ppn,
+    /// In an interior node, the index into [`PageTable::nodes`] of the child
+    /// each entry points to; in a last-level node, the data frame each
+    /// entry maps. [`EMPTY`] where unset.
+    slots: Box<[u64; FANOUT]>,
+}
+
+impl Node {
+    fn new(frame: Ppn) -> Self {
+        Node {
+            frame,
+            slots: Box::new([EMPTY; FANOUT]),
+        }
+    }
+
+    fn addr(&self) -> PhysAddr {
+        PhysAddr(self.frame.0 << 12)
+    }
 }
 
 /// One tenant's multi-level page table.
@@ -55,20 +84,14 @@ pub struct WalkPath {
 pub struct PageTable {
     tenant: TenantId,
     page_size: PageSize,
-    root: Ppn,
-    root_allocated: bool,
-    /// Interior nodes, keyed by [`node_key`] (level packed with the
-    /// index-prefix). Level 0 is the root's children, i.e. the node
-    /// *reached from* the root at a given prefix. FNV-hashed: probed per
-    /// walk level on the hot path, never iterated.
-    nodes: FnvMap<u64, Ppn>,
-    /// Leaf mappings (FNV-hashed likewise).
-    leaves: FnvMap<Vpn, Ppn>,
-    /// Last `(packed key, node)` resolved per interior level. Consecutive
-    /// walks nearly always repeat the upper-level prefixes, and interior
-    /// nodes are never remapped once allocated, so a key match answers the
-    /// map probe exactly (and implies no allocation would have happened).
-    node_memo: [(u64, Ppn); 4],
+    /// Every node allocated so far; `nodes[0]` is the root once the first
+    /// walk has run. Nodes are never freed or remapped.
+    nodes: Vec<Node>,
+    /// Children of the root for VPNs at or beyond the table's reach, as
+    /// `(root prefix, node index)` sorted by prefix. The root entry such a
+    /// VPN reads wraps onto an in-reach one, but each prefix owns a distinct
+    /// subtree, so high VPNs never alias low ones.
+    far: Vec<(u64, usize)>,
     touched_pages: u64,
     /// First touch of any page maps its whole aligned group of this many
     /// pages contiguously (1 = plain first-touch allocation). The
@@ -77,24 +100,16 @@ pub struct PageTable {
     reserve_pages: u64,
 }
 
-/// Sentinel memo key that can never equal a real [`node_key`] (real keys
-/// keep bit 63 clear: levels stay below 8).
-const MEMO_EMPTY: u64 = u64::MAX;
-
 impl PageTable {
     /// Creates an empty page table for `tenant`.
     #[must_use]
     pub fn new(tenant: TenantId, page_size: PageSize) -> Self {
+        debug_assert_eq!(1 << page_size.bits_per_level(), FANOUT);
         PageTable {
             tenant,
             page_size,
-            root: Ppn(0),
-            root_allocated: false,
-            // Pre-sized so steady-state walks never pay a rehash; both maps
-            // grow past default capacity within the first simulated epoch.
-            nodes: FnvMap::with_capacity_and_hasher(1 << 12, Default::default()),
-            leaves: FnvMap::with_capacity_and_hasher(1 << 14, Default::default()),
-            node_memo: [(MEMO_EMPTY, Ppn(0)); 4],
+            nodes: Vec::new(),
+            far: Vec::new(),
             touched_pages: 0,
             reserve_pages: 1,
         }
@@ -106,12 +121,13 @@ impl PageTable {
     ///
     /// # Panics
     ///
-    /// Panics if `reserve_pages` is not a power of two.
+    /// Panics if `reserve_pages` is not a power of two, or exceeds the 512
+    /// entries of one last-level node (a group must not span two).
     #[must_use]
     pub fn with_reservation(tenant: TenantId, page_size: PageSize, reserve_pages: u64) -> Self {
         assert!(
-            reserve_pages.is_power_of_two(),
-            "reservation group must be a power of two"
+            reserve_pages.is_power_of_two() && reserve_pages <= FANOUT as u64,
+            "reservation group must be a power of two of at most {FANOUT} pages"
         );
         let mut pt = PageTable::new(tenant, page_size);
         pt.reserve_pages = reserve_pages;
@@ -139,15 +155,15 @@ impl PageTable {
     /// Looks up the mapping for `vpn` without allocating.
     #[must_use]
     pub fn translate(&self, vpn: Vpn) -> Option<Ppn> {
-        self.leaves.get(&vpn).copied()
+        let last = self.page_size.levels() - 1;
+        let leaf = self.descend(vpn, last)?;
+        let ppn = self.nodes[leaf].slots[self.index_at(vpn, last)];
+        (ppn != EMPTY).then_some(Ppn(ppn))
     }
 
     /// The radix index used at `level` (0 = root) for `vpn`.
-    fn index_at(&self, vpn: Vpn, level: usize) -> u64 {
-        let bits = u64::from(self.page_size.bits_per_level());
-        let levels = self.page_size.levels() as u64;
-        let shift = bits * (levels - 1 - level as u64);
-        (vpn.0 >> shift) & ((1 << bits) - 1)
+    fn index_at(&self, vpn: Vpn, level: usize) -> usize {
+        (self.prefix_at(vpn, level) & SLOT_MASK) as usize
     }
 
     /// The index-prefix consumed by levels `0..=level` of `vpn`.
@@ -156,10 +172,45 @@ impl PageTable {
     /// prefixes at `level` are equal — this is the page-walk-cache key.
     #[must_use]
     pub fn prefix_at(&self, vpn: Vpn, level: usize) -> u64 {
-        let bits = u64::from(self.page_size.bits_per_level());
-        let levels = self.page_size.levels() as u64;
-        let shift = bits * (levels - 1 - level as u64);
-        vpn.0 >> shift
+        let bits = self.page_size.bits_per_level() as usize;
+        let levels = self.page_size.levels();
+        vpn.0 >> (bits * (levels - 1 - level))
+    }
+
+    /// The child `vpn` descends to from `node` at `level`, if allocated.
+    /// The root resolves its children by the full prefix (see `far`).
+    fn child(&self, node: usize, vpn: Vpn, level: usize) -> Option<usize> {
+        let prefix = self.prefix_at(vpn, level);
+        if level == 0 && prefix > SLOT_MASK {
+            let i = self.far.binary_search_by_key(&prefix, |&(p, _)| p).ok()?;
+            return Some(self.far[i].1);
+        }
+        let id = self.nodes[node].slots[(prefix & SLOT_MASK) as usize];
+        (id != EMPTY).then_some(id as usize)
+    }
+
+    /// Allocates the missing child `vpn` descends to from `node` at
+    /// `level`, and returns it.
+    fn add_child(&mut self, node: usize, vpn: Vpn, level: usize, frames: &mut FrameAlloc) -> usize {
+        let id = self.nodes.len();
+        self.nodes.push(Node::new(frames.alloc()));
+        let prefix = self.prefix_at(vpn, level);
+        if level == 0 && prefix > SLOT_MASK {
+            let at = self.far.partition_point(|&(p, _)| p < prefix);
+            self.far.insert(at, (prefix, id));
+        } else {
+            self.nodes[node].slots[(prefix & SLOT_MASK) as usize] = id as u64;
+        }
+        id
+    }
+
+    /// The node reached after consuming levels `0..depth` of `vpn` (depth
+    /// 0 is the root), or `None` where that subtree is not allocated.
+    fn descend(&self, vpn: Vpn, depth: usize) -> Option<usize> {
+        if self.nodes.is_empty() {
+            return None;
+        }
+        (0..depth).try_fold(0, |node, level| self.child(node, vpn, level))
     }
 
     /// Resolves `vpn` through the tree, allocating any missing interior
@@ -176,75 +227,66 @@ impl PageTable {
     /// As [`walk_path`](Self::walk_path), but writes into `out`, reusing its
     /// buffers. The walker dispatch path calls this once per walk, so it
     /// must not allocate in steady state.
+    ///
+    /// Frames are allocated in walk order: the root on the first walk, then
+    /// any missing nodes from the top down, then the data frames.
     pub fn walk_path_into(&mut self, vpn: Vpn, frames: &mut FrameAlloc, out: &mut WalkPath) {
-        if !self.root_allocated {
-            self.root = frames.alloc();
-            self.root_allocated = true;
+        if self.nodes.is_empty() {
+            self.nodes.push(Node::new(frames.alloc()));
         }
-        let levels = self.page_size.levels();
-        let bits = u64::from(self.page_size.bits_per_level());
+        let last = self.page_size.levels() - 1;
         out.entry_addrs.clear();
         out.node_addrs.clear();
-        let mut node = self.root;
-        for level in 0..levels {
-            let shift = bits * (levels - 1 - level) as u64;
-            let index = (vpn.0 >> shift) & ((1 << bits) - 1);
-            // One 4 KB frame holds a 512-entry node regardless of data page
-            // size; entries are PTE_BYTES each.
-            let node_base = PhysAddr(node.0 << 12);
-            out.node_addrs.push(node_base);
-            out.entry_addrs.push(PhysAddr(node_base.0 + index * PTE_BYTES));
-            if level + 1 < levels {
-                let key = node_key(level, vpn.0 >> shift);
-                let memo = &mut self.node_memo[level];
-                node = if memo.0 == key {
-                    memo.1
-                } else {
-                    let n = *self.nodes.entry(key).or_insert_with(|| frames.alloc());
-                    *memo = (key, n);
-                    n
+        let mut node = 0;
+        for level in 0..=last {
+            let base = self.nodes[node].addr();
+            out.node_addrs.push(base);
+            out.entry_addrs.push(PhysAddr(
+                base.0 + self.index_at(vpn, level) as u64 * PTE_BYTES,
+            ));
+            if level < last {
+                node = match self.child(node, vpn, level) {
+                    Some(child) => child,
+                    None => self.add_child(node, vpn, level, frames),
                 };
             }
         }
-        // Leaf frames are allocated in 4 KB granules; a large data page
-        // reserves all of its granules so its cache lines never alias
-        // another allocation's.
+        let mapped = self.nodes[node].slots[self.index_at(vpn, last)];
+        out.ppn = if mapped == EMPTY {
+            self.map_group(node, vpn, frames)
+        } else {
+            Ppn(mapped)
+        };
+    }
+
+    /// First touch of `vpn`: maps its aligned group of `reserve_pages`
+    /// pages into last-level node `leaf`, page `i` of the group at frame
+    /// offset `i * granules` (the contiguity Mosaic coalescing needs), and
+    /// returns `vpn`'s frame. Data frames come in 4 KB granules; a large
+    /// page reserves all of its granules so its cache lines never alias
+    /// another allocation's.
+    fn map_group(&mut self, leaf: usize, vpn: Vpn, frames: &mut FrameAlloc) -> Ppn {
         let granules = self.page_size.bytes() / 4096;
-        if self.reserve_pages > 1 {
-            out.ppn = match self.leaves.get(&vpn) {
-                Some(&ppn) => ppn,
-                None => {
-                    // Map the whole aligned group contiguously, so every
-                    // page of the group gets a frame offset equal to its
-                    // page offset — the contiguity Mosaic coalescing needs.
-                    let group_base = vpn.0 & !(self.reserve_pages - 1);
-                    let frame_base = frames.alloc_contiguous(granules * self.reserve_pages);
-                    for i in 0..self.reserve_pages {
-                        self.leaves
-                            .insert(Vpn(group_base + i), Ppn(frame_base.0 + i * granules));
-                    }
-                    self.touched_pages += self.reserve_pages;
-                    Ppn(frame_base.0 + (vpn.0 - group_base) * granules)
-                }
-            };
-            return;
+        let group_base = vpn.0 & !(self.reserve_pages - 1);
+        let frame_base = frames.alloc_contiguous(granules * self.reserve_pages).0;
+        let slots = &mut self.nodes[leaf].slots;
+        for i in 0..self.reserve_pages {
+            slots[((group_base + i) & SLOT_MASK) as usize] = frame_base + i * granules;
         }
-        let touched = &mut self.touched_pages;
-        out.ppn = *self.leaves.entry(vpn).or_insert_with(|| {
-            *touched += 1;
-            frames.alloc_contiguous(granules)
-        });
+        self.touched_pages += self.reserve_pages;
+        Ppn(frame_base + (vpn.0 - group_base) * granules)
     }
 
     /// The node physical address a walk would continue from after consuming
     /// levels `0..=level` — i.e. what a page-walk-cache hit at `level`
-    /// provides. Returns `None` if that subtree has not been allocated yet.
+    /// provides. Returns `None` if that subtree has not been allocated yet,
+    /// and for the last level, which leads to a data page, not a node.
     #[must_use]
     pub fn node_after(&self, vpn: Vpn, level: usize) -> Option<PhysAddr> {
-        let prefix = self.prefix_at(vpn, level);
-        self.nodes
-            .get(&node_key(level, prefix))
-            .map(|ppn| PhysAddr(ppn.0 << 12))
+        if level + 1 >= self.page_size.levels() {
+            return None;
+        }
+        self.descend(vpn, level + 1).map(|n| self.nodes[n].addr())
     }
 }
 
@@ -314,6 +356,27 @@ mod tests {
         assert_eq!(a.node_addrs[0], b.node_addrs[0]); // shared root node
         assert_ne!(a.entry_addrs[0], b.entry_addrs[0]); // different root entry
         assert_ne!(a.node_addrs[1], b.node_addrs[1]);
+    }
+
+    #[test]
+    fn vpns_beyond_reach_get_their_own_subtree() {
+        let (mut pt, mut f) = pt();
+        let high_vpn = Vpn((1 << 36) | 5);
+        let low = pt.walk_path(Vpn(5), &mut f);
+        let high = pt.walk_path(high_vpn, &mut f);
+        // The root index wraps onto the same entry, but the subtree and the
+        // page are distinct.
+        assert_eq!(low.entry_addrs[0], high.entry_addrs[0]);
+        assert_ne!(low.node_addrs[1], high.node_addrs[1]);
+        assert_ne!(low.ppn, high.ppn);
+        assert_eq!(pt.translate(high_vpn), Some(high.ppn));
+        assert_eq!(pt.node_after(high_vpn, 0), Some(high.node_addrs[1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "reservation group")]
+    fn reservation_wider_than_a_node_is_rejected() {
+        let _ = PageTable::with_reservation(TenantId(0), PageSize::Small4K, 1024);
     }
 
     #[test]

@@ -396,7 +396,6 @@ impl PartSched {
         fn set_stolen(&mut self, w: usize, stolen: bool);
         fn round_robin_owned(&mut self, tenant: TenantId) -> Option<usize>;
         fn least_loaded_owned(&self, tenant: TenantId) -> Option<usize>;
-        fn most_loaded_owned(&self, tenant: TenantId) -> Option<usize>;
         fn push(&mut self, w: usize, p: Pending) -> Option<EpochRollover>;
         fn pop_from_walker(&mut self, w: usize) -> Pending;
         fn first_owned_idle(&self, tenant: TenantId, idle: u128) -> Option<usize>;

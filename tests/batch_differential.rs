@@ -24,9 +24,7 @@
 
 use walksteal::mem::{AccessKind, CacheConfig, DramConfig, MemSystem, MemSystemConfig};
 use walksteal::multitenant::{GpuConfig, PolicyPreset};
-use walksteal::sim::{
-    BinaryHeapQueue, Cycle, EventQueue, LineAddr, Observer, PhysAddr, Ppn, SimRng, TenantId, Vpn,
-};
+use walksteal::sim::{Cycle, LineAddr, Observer, PhysAddr, Ppn, SimRng, TenantId, Vpn};
 use walksteal::vm::walk::WalkContext;
 use walksteal::vm::{
     DispatchedWalk, FrameAlloc, PageSize, PageTable, PwCache, Replacement, StealMode, Tlb,
@@ -680,59 +678,6 @@ fn mem_access_batch_matches_scalar_lockstep() {
                     batched.bank_free().iter().any(|&c| c > Cycle::ZERO),
                     "shape {shape}: no L2 bank contention was replayed"
                 );
-            }
-        }
-    }
-}
-
-/// The timing-wheel fast lanes pop in exactly the order the reference
-/// heap-backed queue would: random generic pushes interleave with two
-/// monotone fixed-latency lanes (a zero-latency lane and a `+25` lane —
-/// the simulator's `WarpStart` and L1-hit `RefDone` classes), and every
-/// `(cycle, payload)` pair pops identically, ties resolving in insertion
-/// order.
-#[test]
-fn event_queue_lanes_match_heap_reference() {
-    for seed in SEEDS {
-        let mut wheel: EventQueue<u64> = EventQueue::new();
-        let lane_zero = wheel.add_lane();
-        let lane_fixed = wheel.add_lane();
-        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut rng = SimRng::new(seed);
-        let mut now = Cycle::ZERO;
-        let mut payload = 0u64;
-        for step in 0..4_000 {
-            for _ in 0..rng.next_below(4) {
-                let (at, lane) = match rng.next_below(3) {
-                    0 => (now, Some(lane_zero)),
-                    1 => (now + 25, Some(lane_fixed)),
-                    _ => (now + rng.next_below(600), None),
-                };
-                match lane {
-                    Some(l) => wheel.push_lane(l, at, payload),
-                    None => wheel.push(at, payload),
-                }
-                heap.push(at, payload);
-                payload += 1;
-            }
-            for _ in 0..rng.next_below(4) {
-                let a = wheel.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "seed {seed:#x} step {step}: pop diverged");
-                if let Some((at, _)) = a {
-                    // Lane pushes must stay monotone: track the popped
-                    // cycle as the new "current" cycle, as the simulator
-                    // does.
-                    now = now.max(at);
-                }
-            }
-            assert_eq!(wheel.len(), heap.len(), "seed {seed:#x} step {step}");
-        }
-        loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            assert_eq!(a, b, "seed {seed:#x}: drain diverged");
-            if a.is_none() {
-                break;
             }
         }
     }

@@ -6,13 +6,15 @@
 //! property-testing crate), so failures reproduce exactly: the case index
 //! in the assertion message pins down the failing input.
 
+use std::collections::HashMap;
+
 use walksteal::invariants;
 use walksteal::mem::{AccessKind, Cache, CacheConfig, MemSystem, MemSystemConfig};
-use walksteal::sim::{Cycle, EventQueue, LineAddr, Observer, Ppn, SimRng, TenantId, Vpn};
+use walksteal::sim::{Cycle, EventQueue, LineAddr, Observer, PhysAddr, Ppn, SimRng, TenantId, Vpn};
 use walksteal::vm::walk::WalkContext;
 use walksteal::vm::{
     DispatchedWalk, DwsPlusPlusParams, FrameAlloc, PageSize, PageTable, Replacement, SchedulerImpl,
-    StealMode, Tlb, TlbConfig, WalkConfig, WalkPolicyKind, WalkRequest, WalkSubsystem,
+    StealMode, Tlb, TlbConfig, WalkConfig, WalkPath, WalkPolicyKind, WalkRequest, WalkSubsystem,
 };
 
 /// Cases per property. Each case draws a fresh input of random size.
@@ -85,6 +87,161 @@ fn tenants_get_disjoint_frames() {
         // Every distinct page got a distinct frame.
         let distinct = vpns.iter().collect::<std::collections::HashSet<_>>().len();
         assert_eq!(seen.len(), 2 * distinct, "case {case}");
+    }
+}
+
+/// The hashed page table the radix [`PageTable`] replaced, kept as its
+/// reference model: interior nodes keyed by `(level, unmasked prefix)`,
+/// leaves keyed by VPN, frames drawn in the same first-touch order.
+struct HashedPageTable {
+    page_size: PageSize,
+    root: Option<Ppn>,
+    nodes: HashMap<(usize, u64), Ppn>,
+    leaves: HashMap<Vpn, Ppn>,
+    touched_pages: u64,
+    reserve_pages: u64,
+}
+
+impl HashedPageTable {
+    fn new(page_size: PageSize, reserve_pages: u64) -> Self {
+        HashedPageTable {
+            page_size,
+            root: None,
+            nodes: HashMap::new(),
+            leaves: HashMap::new(),
+            touched_pages: 0,
+            reserve_pages,
+        }
+    }
+
+    fn shift(&self, level: usize) -> u32 {
+        self.page_size.bits_per_level() * (self.page_size.levels() - 1 - level) as u32
+    }
+
+    fn walk_path(&mut self, vpn: Vpn, frames: &mut FrameAlloc) -> WalkPath {
+        let root = *self.root.get_or_insert_with(|| frames.alloc());
+        let levels = self.page_size.levels();
+        let mut out = WalkPath::default();
+        let mut node = root;
+        for level in 0..levels {
+            let shift = self.shift(level);
+            let index = (vpn.0 >> shift) & 511;
+            let base = PhysAddr(node.0 << 12);
+            out.node_addrs.push(base);
+            out.entry_addrs.push(PhysAddr(base.0 + index * 8));
+            if level + 1 < levels {
+                node = *self
+                    .nodes
+                    .entry((level, vpn.0 >> shift))
+                    .or_insert_with(|| frames.alloc());
+            }
+        }
+        let granules = self.page_size.bytes() / 4096;
+        out.ppn = match self.leaves.get(&vpn) {
+            Some(&ppn) => ppn,
+            None => {
+                let group_base = vpn.0 & !(self.reserve_pages - 1);
+                let frame_base = frames.alloc_contiguous(granules * self.reserve_pages);
+                for i in 0..self.reserve_pages {
+                    self.leaves
+                        .insert(Vpn(group_base + i), Ppn(frame_base.0 + i * granules));
+                }
+                self.touched_pages += self.reserve_pages;
+                Ppn(frame_base.0 + (vpn.0 - group_base) * granules)
+            }
+        };
+        out
+    }
+
+    fn translate(&self, vpn: Vpn) -> Option<Ppn> {
+        self.leaves.get(&vpn).copied()
+    }
+
+    fn node_after(&self, vpn: Vpn, level: usize) -> Option<PhysAddr> {
+        self.nodes
+            .get(&(level, vpn.0 >> self.shift(level)))
+            .map(|ppn| PhysAddr(ppn.0 << 12))
+    }
+}
+
+/// Draws one VPN of the given shape: dense GUPS-like per-warp regions,
+/// sparse VPNs up to 2^30, tenant-tagged `(t << 32) | x` VPNs, and VPNs at
+/// or beyond the 36-bit (4 KB) and 27-bit (64 KB) reach.
+fn oracle_vpn(rng: &mut SimRng, shape: u64, span: u64) -> Vpn {
+    Vpn(match shape {
+        0 => rng.next_below(8) * span + rng.next_below(span),
+        1 => rng.next_below(1 << 30),
+        2 => (rng.next_below(4) << 32) | rng.next_below(1 << 32),
+        _ => {
+            let edges = [1 << 27, 1 << 36, 1 << 40, 5 << 36, 1 << 48];
+            let edge = edges[rng.next_below(edges.len() as u64) as usize];
+            match rng.next_below(3) {
+                0 => edge - 1 - rng.next_below(1024),
+                1 => edge + rng.next_below(1024),
+                _ => rng.next_below(1 << 50),
+            }
+        }
+    })
+}
+
+/// The radix [`PageTable`] is observably identical to the hashed table it
+/// replaced: two tenants sharing one frame allocator per side, driven with
+/// the same random VPNs (4 KB and 64 KB pages, plain and 8-page
+/// reservations), agree on every walk path, `translate`, `node_after`,
+/// `touched_pages` and `FrameAlloc::allocated` after every call.
+#[test]
+fn radix_page_table_matches_hashed_reference() {
+    let mut rng = SimRng::new(0xE9);
+    for case in 0..CASES * 4 {
+        let page_size = if rng.chance(0.5) {
+            PageSize::Small4K
+        } else {
+            PageSize::Large64K
+        };
+        let reserve = if rng.chance(0.3) { 8 } else { 1 };
+        // Shapes 0-3 alone, or (4) all of them mixed.
+        let shape = rng.next_below(5);
+        let span = 1 << (6 + rng.next_below(9));
+        let (mut frames, mut ref_frames) = (FrameAlloc::new(), FrameAlloc::new());
+        let mut pts: Vec<PageTable> = (0..2)
+            .map(|t| PageTable::with_reservation(TenantId(t), page_size, reserve))
+            .collect();
+        let mut refs: Vec<HashedPageTable> = (0..2)
+            .map(|_| HashedPageTable::new(page_size, reserve))
+            .collect();
+        let mut seen: Vec<Vpn> = Vec::new();
+        for op in 0..300 + rng.next_below(300) {
+            let t = rng.next_below(2) as usize;
+            let vpn = if !seen.is_empty() && rng.chance(0.4) {
+                // Revisit a page, or its neighbour (same group and node).
+                let v = seen[rng.next_below(seen.len() as u64) as usize];
+                Vpn(v.0 ^ rng.next_below(2))
+            } else {
+                let s = if shape == 4 { rng.next_below(4) } else { shape };
+                oracle_vpn(&mut rng, s, span)
+            };
+            let ctx = format!("case {case} op {op} {page_size} reserve {reserve} {vpn:?}");
+            match rng.next_below(4) {
+                0 | 1 => {
+                    let got = pts[t].walk_path(vpn, &mut frames);
+                    let want = refs[t].walk_path(vpn, &mut ref_frames);
+                    assert_eq!(got, want, "{ctx}: walk path");
+                    seen.push(vpn);
+                }
+                2 => assert_eq!(pts[t].translate(vpn), refs[t].translate(vpn), "{ctx}"),
+                _ => {
+                    for level in 0..page_size.levels() {
+                        assert_eq!(
+                            pts[t].node_after(vpn, level),
+                            refs[t].node_after(vpn, level),
+                            "{ctx}: node_after level {level}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(pts[t].touched_pages(), refs[t].touched_pages, "{ctx}");
+            assert_eq!(frames.allocated(), ref_frames.allocated(), "{ctx}");
+        }
     }
 }
 
