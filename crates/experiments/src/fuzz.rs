@@ -19,9 +19,7 @@
 //!    * **lockstep** — optimized (batched) vs reference (scalar) walk
 //!      scheduler on identical traffic, per-step invariant checks through
 //!      the shared [`walksteal_vm::invariants`] module, inspection-view
-//!      agreement, repartition events applied to both sides, and a
-//!      batched-vs-scalar memory-system twin on the scenario's randomized
-//!      L2-bank/DRAM-channel shape;
+//!      agreement, and repartition events applied to both sides;
 //!    * **simulate** — the full end-to-end simulation under an event
 //!      budget;
 //!    * **trace** — the same simulation traced, the trace replayed from
@@ -50,11 +48,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use walksteal_mem::{Access, AccessKind, MemSystem, MemSystemConfig};
+use walksteal_mem::{MemSystem, MemSystemConfig};
 use walksteal_multitenant::{
     GpuConfig, JsonlTracer, PolicyPreset, RunBudget, SimError, SimulationBuilder, TenantSpec,
 };
-use walksteal_sim_core::{Cycle, Json, LineAddr, Observer, SimRng, TenantId, Vpn};
+use walksteal_sim_core::{Cycle, Json, Observer, SimRng, TenantId, Vpn};
 use walksteal_vm::walk::WalkContext;
 use walksteal_vm::{
     invariants, DispatchedWalk, FrameAlloc, PageSize, PageTable, SchedulerImpl, WalkQueueFull,
@@ -224,9 +222,6 @@ pub struct OracleStats {
     pub cancelled: u64,
     /// Requests that went through `try_enqueue_batch` on the optimized side.
     pub batched: u64,
-    /// Lines compared through the batched-vs-scalar memory twin in the
-    /// lockstep stage.
-    pub mem_refs: u64,
     /// Events the end-to-end simulation processed.
     pub sim_events: u64,
     /// The end-to-end stage hit the internal event cap and was truncated.
@@ -497,7 +492,7 @@ impl FuzzScenario {
             faults,
             plant,
         };
-        if sc.walkers == 0 || sc.walkers % sc.tenants.len() != 0 {
+        if sc.walkers == 0 || !sc.walkers.is_multiple_of(sc.tenants.len()) {
             return Err(format!(
                 "scenario: {} walkers cannot split across {} tenants",
                 sc.walkers,
@@ -507,7 +502,7 @@ impl FuzzScenario {
         if sc.queue_entries < sc.walkers {
             return Err("scenario: fewer queue entries than walkers".into());
         }
-        if sc.l2_tlb_entries % 16 != 0 || !(sc.l2_tlb_entries / 16).is_power_of_two() {
+        if !sc.l2_tlb_entries.is_multiple_of(16) || !(sc.l2_tlb_entries / 16).is_power_of_two() {
             return Err(format!(
                 "scenario: L2 TLB of {} entries is not 16-way with power-of-two sets",
                 sc.l2_tlb_entries
@@ -803,18 +798,6 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
     let n_tenants = sc.tenants.len();
     let mut a = Side::new(cfg, SchedulerImpl::Optimized);
     let mut b = Side::new(cfg, SchedulerImpl::Reference);
-    // The memory-batch twin: a batched and a scalar `MemSystem` on the
-    // scenario's randomized L2-bank/DRAM-channel shape, fed identical line
-    // bursts each step. The grouped per-bank/per-channel pass must match
-    // the scalar replay request for request, and the full timing state
-    // (hit counters, bank free cycles, channel free cycles) must stay
-    // equal — the fuzzing twin of `tests/batch_differential.rs`.
-    let mut mem_batched = MemSystem::new(cfg.mem);
-    let mut mem_scalar = MemSystem::new(cfg.mem);
-    let mut mem_rng = SimRng::new(sc.seed).split(0x3E3);
-    let mut mem_lines: Vec<LineAddr> = Vec::new();
-    let mut mem_out: Vec<Access> = Vec::new();
-    let mut mem_refs = 0u64;
     let mut rng = SimRng::new(sc.seed).split(0x10C5);
     // Per-scenario pacing: a small stride saturates the queues (exercising
     // rejection and backpressure), a large one drains them (exercising
@@ -943,47 +926,6 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
             }
         }
 
-        // Drive the memory twin at this step's cycle: a burst from a
-        // 96-line window per tenant, narrow enough that bank and channel
-        // conflicts are routine, mixing data and page-table traffic.
-        mem_lines.clear();
-        // Mostly warp-width bursts; every eighth step goes wider than the
-        // grouped-pass threshold so both batch strategies are fuzzed.
-        let mem_width = if step % 8 == 0 {
-            MemSystem::GROUPED_MIN as u64 + mem_rng.next_below(24)
-        } else {
-            1 + mem_rng.next_below(12)
-        };
-        for _ in 0..mem_width {
-            let t = mem_rng.next_below(n_tenants as u64);
-            mem_lines.push(LineAddr((t << 10) | mem_rng.next_below(96)));
-        }
-        let kind = match mem_rng.next_below(5) {
-            0 => AccessKind::PageTable,
-            1 => AccessKind::PageTableBypass,
-            _ => AccessKind::Data,
-        };
-        mem_out.clear();
-        mem_batched.access_batch(&mem_lines, now, kind, &mut mem_out);
-        for (i, (&line, batched)) in mem_lines.iter().zip(&mem_out).enumerate() {
-            let scalar = mem_scalar.access(line, now, kind);
-            if *batched != scalar {
-                return Err(div(format!(
-                    "step {step}: memory batch request {i} ({line:?}, {kind:?}) \
-                     diverged: {batched:?} vs {scalar:?}"
-                )));
-            }
-        }
-        mem_refs += mem_lines.len() as u64;
-        if mem_batched.stats() != mem_scalar.stats()
-            || mem_batched.bank_free() != mem_scalar.bank_free()
-            || mem_batched.dram().next_free() != mem_scalar.dram().next_free()
-        {
-            return Err(div(format!(
-                "step {step}: memory batch timing state diverged from the scalar replay"
-            )));
-        }
-
         // The full ownership decomposition is only valid while walker
         // ownership has been stable since the walks queued; once a
         // repartition fires, a departing tenant's queued walks drain from
@@ -1022,7 +964,6 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
         rejected: stats.rejected.iter().sum(),
         cancelled,
         batched,
-        mem_refs,
         ..OracleStats::default()
     })
 }
@@ -1310,45 +1251,38 @@ fn candidates(sc: &FuzzScenario) -> Vec<FuzzScenario> {
 
     // Simplify the hardware, one knob at a time.
     let n = sc.tenants.len();
-    for (want_walkers, want_queue, want_tlb, want_sms, want_warps, want_instr) in [(
-        n,
-        n * 4,
-        512,
-        1,
-        2,
-        150,
-    )] {
-        if sc.walkers > want_walkers {
-            let mut c = sc.clone();
-            c.walkers = want_walkers;
-            c.queue_entries = c.queue_entries.min(want_walkers * 24).max(want_walkers * 4);
-            out.push(c);
-        }
-        if sc.queue_entries > want_queue && want_queue >= sc.walkers {
-            let mut c = sc.clone();
-            c.queue_entries = want_queue;
-            out.push(c);
-        }
-        if sc.l2_tlb_entries > want_tlb {
-            let mut c = sc.clone();
-            c.l2_tlb_entries = want_tlb;
-            out.push(c);
-        }
-        if sc.sms_per_tenant > want_sms {
-            let mut c = sc.clone();
-            c.sms_per_tenant = want_sms;
-            out.push(c);
-        }
-        if sc.warps_per_sm > want_warps {
-            let mut c = sc.clone();
-            c.warps_per_sm = want_warps;
-            out.push(c);
-        }
-        if sc.instructions_per_warp > want_instr {
-            let mut c = sc.clone();
-            c.instructions_per_warp = want_instr;
-            out.push(c);
-        }
+    let (want_walkers, want_queue, want_tlb) = (n, n * 4, 512);
+    let (want_sms, want_warps, want_instr) = (1, 2, 150);
+    if sc.walkers > want_walkers {
+        let mut c = sc.clone();
+        c.walkers = want_walkers;
+        c.queue_entries = c.queue_entries.min(want_walkers * 24).max(want_walkers * 4);
+        out.push(c);
+    }
+    if sc.queue_entries > want_queue && want_queue >= sc.walkers {
+        let mut c = sc.clone();
+        c.queue_entries = want_queue;
+        out.push(c);
+    }
+    if sc.l2_tlb_entries > want_tlb {
+        let mut c = sc.clone();
+        c.l2_tlb_entries = want_tlb;
+        out.push(c);
+    }
+    if sc.sms_per_tenant > want_sms {
+        let mut c = sc.clone();
+        c.sms_per_tenant = want_sms;
+        out.push(c);
+    }
+    if sc.warps_per_sm > want_warps {
+        let mut c = sc.clone();
+        c.warps_per_sm = want_warps;
+        out.push(c);
+    }
+    if sc.instructions_per_warp > want_instr {
+        let mut c = sc.clone();
+        c.instructions_per_warp = want_instr;
+        out.push(c);
     }
 
     out

@@ -79,7 +79,7 @@ impl Job {
     /// Returns [`SimError::BudgetExceeded`] with a partial-result diagnostic
     /// if the run blows through `budget`.
     pub fn simulate_budgeted(&self, budget: &RunBudget) -> Result<SimResult, SimError> {
-        self.builder().budget(budget.clone()).run()
+        self.builder().budget(*budget).run()
     }
 
     /// The builder describing this job's simulation, before observability
@@ -152,7 +152,6 @@ pub struct RunReport {
 
 impl RunReport {
     /// Jobs that failed both attempts and produced no result.
-    #[must_use]
     pub fn dead(&self) -> impl Iterator<Item = &JobFailure> {
         self.failures.iter().filter(|f| !f.recovered)
     }

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use walksteal_mem::{Access, AccessKind, MemSystem, MemSystemConfig};
+use walksteal_mem::{AccessKind, MemSystem, MemSystemConfig};
 use walksteal_multitenant::{PolicyPreset, SimulationBuilder};
 use walksteal_sim_core::{
     BinaryHeapQueue, Cycle, EventQueue, Json, LineAddr, Observer, Ppn, SimRng, TenantId, Vpn,
@@ -331,8 +331,7 @@ fn walk_sched_batch_rate() -> f64 {
 
 /// Memory-system throughput through the scalar [`MemSystem::access`] path:
 /// a mixed data/page-table stream over a 64 Ki-line footprint (so the L2
-/// banks see real hit/miss/eviction traffic), issued 16 lines per cycle —
-/// the same per-cycle shape the batched bench resolves in one pass.
+/// banks see real hit/miss/eviction traffic), issued 16 lines per cycle.
 fn mem_access_rate() -> f64 {
     const BATCH: u64 = 16;
     let mut mem = MemSystem::new(MemSystemConfig::default());
@@ -353,33 +352,6 @@ fn mem_access_rate() -> f64 {
         for &line in &lines {
             mem.access(line, now, kind);
         }
-    }) * BATCH as f64
-}
-
-/// Batched memory-system throughput: the exact workload of
-/// [`mem_access_rate`], with each cycle's 16 coalesced lines resolved in
-/// one [`MemSystem::access_batch`] pass. Reported as accesses/sec,
-/// directly comparable to `mem_access_ops_per_sec`.
-fn mem_access_batch_rate() -> f64 {
-    const BATCH: u64 = 16;
-    let mut mem = MemSystem::new(MemSystemConfig::default());
-    let mut rng = SimRng::new(14);
-    let mut now = Cycle::ZERO;
-    let mut lines: Vec<LineAddr> = Vec::new();
-    let mut accesses: Vec<Access> = Vec::new();
-    rate(2_000_000 / BATCH, || {
-        now += 2;
-        let kind = if rng.chance(0.2) {
-            AccessKind::PageTable
-        } else {
-            AccessKind::Data
-        };
-        lines.clear();
-        for _ in 0..BATCH {
-            lines.push(LineAddr(rng.next_below(1 << 16)));
-        }
-        accesses.clear();
-        mem.access_batch(&lines, now, kind, &mut accesses);
     }) * BATCH as f64
 }
 
@@ -405,12 +377,11 @@ fn subsystems() -> Json {
     let walk = walk_scheduler_rate();
     let walk_batch = walk_sched_batch_rate();
     let mem = mem_access_rate();
-    let mem_batch = mem_access_batch_rate();
     let stream = stream_gen_rate();
     eprintln!(
         "subsystems: tlb {tlb:.0} ops/s (batch {tlb_batch:.0}), pwc {pwc:.0} ops/s, \
          walk sched {walk:.0} ops/s (batch {walk_batch:.0}), \
-         mem {mem:.0} ops/s (batch {mem_batch:.0}), stream gen {stream:.0} ops/s"
+         mem {mem:.0} ops/s, stream gen {stream:.0} ops/s"
     );
     Json::Obj(vec![
         ("tlb_probe_ops_per_sec".into(), Json::Num(tlb)),
@@ -419,7 +390,6 @@ fn subsystems() -> Json {
         ("walk_scheduler_ops_per_sec".into(), Json::Num(walk)),
         ("walk_sched_batch_ops_per_sec".into(), Json::Num(walk_batch)),
         ("mem_access_ops_per_sec".into(), Json::Num(mem)),
-        ("mem_access_batch_ops_per_sec".into(), Json::Num(mem_batch)),
         ("stream_gen_ops_per_sec".into(), Json::Num(stream)),
     ])
 }

@@ -216,11 +216,10 @@ impl ExpContext {
             // well-formed (the failure summary marks the affected rows).
             return placeholder(apps);
         }
-        if self.plan.is_some() {
+        if let Some(plan) = &mut self.plan {
             if let Some(r) = self.store.lookup(&key) {
                 return r;
             }
-            let plan = self.plan.as_mut().expect("checked above");
             if plan.seen.insert(key.clone()) {
                 plan.jobs.push(Job {
                     key,
@@ -262,11 +261,10 @@ impl ExpContext {
         if self.dead.contains(&key) {
             return placeholder_churn(&key.apps());
         }
-        if self.plan.is_some() {
+        if let Some(plan) = &mut self.plan {
             if let Some(r) = self.store.lookup(&key) {
                 return r;
             }
-            let plan = self.plan.as_mut().expect("checked above");
             if plan.seen.insert(key.clone()) {
                 plan.jobs.push(Job {
                     apps: key.apps(),

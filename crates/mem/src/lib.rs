@@ -12,13 +12,9 @@
 //!   below the SM goes through, including page-table walks (the paper's
 //!   baseline caches page-table entries in the L2).
 //!
-//! Each layer also exposes a batched entry point pinned bit-identical to its
-//! scalar counterpart — [`system::MemSystem::access_batch`] (same-cycle
-//! coalesced requests, grouped per bank/channel),
-//! [`system::MemSystem::access_chain`] (serial PTE chains),
-//! [`cache::Cache::probe_fill_batch`], [`dram::Dram::access_batch`], and
-//! [`mshr::Mshr::allocate_batch`] — so the simulator's hot loop crosses the
-//! memory system once per cycle instead of once per request.
+//! Every request below the L1s crosses the L2 and DRAM one at a time
+//! through [`system::MemSystem::access`]; the walker's serial PTE chains
+//! use [`system::MemSystem::access_chain`], which does the same per PTE.
 //!
 //! # Examples
 //!

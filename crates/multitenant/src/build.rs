@@ -34,7 +34,6 @@ use walksteal_workloads::{AppId, AppProfile};
 
 use crate::config::{GpuConfig, PolicyPreset};
 use crate::metrics::SimResult;
-use crate::pipeline::StreamPipelining;
 use crate::scenario::ScenarioSpec;
 use crate::sim::Simulation;
 
@@ -95,6 +94,17 @@ impl From<AppId> for TenantSpec {
     }
 }
 
+/// The argument of [`SimulationBuilder::stream_pipelining`]. Warp streams
+/// are always generated inline on the simulation thread; this type and
+/// that method remain only so the repository benchmark, which still calls
+/// `.stream_pipelining(StreamPipelining::Off)`, keeps compiling until a
+/// benchmark change drops the call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamPipelining {
+    /// Generate warp ops inline on the simulation thread.
+    Off,
+}
+
 /// Fluent builder for a [`Simulation`]. See the [module docs](self).
 pub struct SimulationBuilder {
     cfg: GpuConfig,
@@ -104,7 +114,6 @@ pub struct SimulationBuilder {
     seed: u64,
     budget: RunBudget,
     obs: Observer,
-    pipelining: StreamPipelining,
 }
 
 impl Default for SimulationBuilder {
@@ -126,7 +135,6 @@ impl SimulationBuilder {
             seed: 42,
             budget: RunBudget::unlimited(),
             obs: Observer::off(),
-            pipelining: StreamPipelining::Auto,
         }
     }
 
@@ -255,15 +263,10 @@ impl SimulationBuilder {
         self
     }
 
-    /// Controls epoch-pipelined warp-stream generation (default:
-    /// [`StreamPipelining::Auto`]): whether epoch N+1's warp ops are
-    /// generated on a second thread while epoch N simulates. Purely a
-    /// performance knob — results are byte-identical in every mode — which
-    /// is why it lives here and not in [`GpuConfig`] (config feeds
-    /// result-cache keys; this must not).
+    /// Accepts [`StreamPipelining::Off`] and changes nothing; see
+    /// [`StreamPipelining`] for why it remains.
     #[must_use]
-    pub fn stream_pipelining(mut self, mode: StreamPipelining) -> Self {
-        self.pipelining = mode;
+    pub fn stream_pipelining(self, _mode: StreamPipelining) -> Self {
         self
     }
 
@@ -315,8 +318,7 @@ impl SimulationBuilder {
         if let Some(preset) = self.preset {
             cfg = cfg.try_with_preset(preset)?;
         }
-        let mut sim =
-            Simulation::with_profiles(cfg, &profiles, self.seed, self.obs, self.pipelining);
+        let mut sim = Simulation::with_profiles(cfg, &profiles, self.seed, self.obs);
         if let Some(spec) = scenario {
             sim.attach_scenario(spec.compile());
         }
@@ -330,7 +332,7 @@ impl SimulationBuilder {
     /// Returns [`SimError::InvalidConfig`] when the configuration is
     /// rejected, or [`SimError::BudgetExceeded`] when the budget is blown.
     pub fn run(self) -> Result<SimResult, SimError> {
-        let budget = self.budget.clone();
+        let budget = self.budget;
         self.try_build()?.run_budgeted(&budget)
     }
 }
@@ -358,14 +360,11 @@ mod tests {
             .for_tenants(2)
             .with_preset(PolicyPreset::DwsPlusPlus);
         let profiles = [AppId::Gups.profile(), AppId::Mm.profile()];
-        let direct =
-            Simulation::with_profiles(cfg, &profiles, 7, Observer::off(), StreamPipelining::Off)
-                .run();
+        let direct = Simulation::with_profiles(cfg, &profiles, 7, Observer::off()).run();
         let built = small()
             .tenants([AppId::Gups, AppId::Mm])
             .preset(PolicyPreset::DwsPlusPlus)
             .seed(7)
-            .stream_pipelining(StreamPipelining::Off)
             .build()
             .run();
         assert_eq!(direct, built);
@@ -479,27 +478,6 @@ mod tests {
             .run();
         assert_eq!(overridden.tenants[0].app, AppId::Mm, "label preserved");
         assert_ne!(baseline, overridden, "profile override had no effect");
-    }
-
-    #[test]
-    fn pipelined_stream_handoff_is_deterministic() {
-        // A budget long enough that the light tenant relaunches, so the
-        // epoch hand-off (`advance_epoch`) is exercised, not just epoch 0.
-        let run = |mode| {
-            small()
-                .instructions_per_warp(2_000)
-                .tenants([AppId::Gups, AppId::Mm])
-                .preset(PolicyPreset::DwsPlusPlus)
-                .seed(9)
-                .stream_pipelining(mode)
-                .build()
-                .run()
-        };
-        let inline = run(StreamPipelining::Off);
-        let overlapped = run(StreamPipelining::On);
-        assert!(inline.tenants[1].completed_executions > 1, "want a relaunch");
-        assert_eq!(inline, overlapped);
-        assert_eq!(inline, run(StreamPipelining::Auto));
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl GpuConfig {
     fn check_walker_split(&self, n_tenants: usize) -> Result<(), ConfigError> {
         if matches!(self.walk.policy, WalkPolicyKind::Partitioned(_))
             && n_tenants > 1
-            && self.walk.n_walkers % n_tenants != 0
+            && !self.walk.n_walkers.is_multiple_of(n_tenants)
         {
             return Err(ConfigError::UnevenSplit {
                 resource: "walkers",
@@ -421,7 +421,7 @@ impl GpuConfig {
         if n_tenants == 0 {
             return Err(ConfigError::NoTenants);
         }
-        if self.n_sms % n_tenants != 0 {
+        if !self.n_sms.is_multiple_of(n_tenants) {
             return Err(ConfigError::UnevenSplit {
                 resource: "SMs",
                 count: self.n_sms,

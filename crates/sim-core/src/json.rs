@@ -204,13 +204,13 @@ fn write_seq(
         }
         if let Some(width) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(width * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', width * (depth + 1)));
         }
         item(out, i, depth + 1);
     }
     if let Some(width) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat(' ').take(width * depth));
+        out.extend(std::iter::repeat_n(' ', width * depth));
     }
     out.push(close);
 }

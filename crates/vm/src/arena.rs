@@ -136,7 +136,7 @@ impl SubEntryTlb {
             occupancy: vec![0; n_tenants],
             occupancy_integral: vec![0.0; n_tenants],
             last_update: Cycle::ZERO,
-            rng: SimRng::new(0x5e7_1b ^ (cfg.sets * 31 + cfg.ways) as u64),
+            rng: SimRng::new(0x0005_e71b ^ (cfg.sets * 31 + cfg.ways) as u64),
         }
     }
 
@@ -490,7 +490,7 @@ impl MosaicTlb {
         let key = tenant_key(tenant, group);
         let mask = self.dir.entry(key).or_insert(0);
         *mask |= 1 << (vpn.0 % MOSAIC_GROUP);
-        if u32::from(mask.count_ones()) < MOSAIC_COALESCE_THRESHOLD.min(MOSAIC_GROUP as u32) {
+        if mask.count_ones() < MOSAIC_COALESCE_THRESHOLD.min(MOSAIC_GROUP as u32) {
             self.base.fill(tenant, vpn, ppn, now);
             return;
         }
@@ -673,7 +673,7 @@ impl DeadGuardTlb {
         let sig = Self::signature(tenant, vpn);
         if self.counters[sig] >= 2 {
             self.bypasses += 1;
-            if self.bypasses % 8 == 0 {
+            if self.bypasses.is_multiple_of(8) {
                 self.counters[sig] -= 1;
             }
             return;

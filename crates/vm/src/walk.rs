@@ -333,6 +333,9 @@ impl WalkStats {
 }
 
 /// Queue organization per policy.
+// There is one `Scheduler` per `WalkSubsystem`, so boxing the large
+// `Partitioned` variant would add a hot-path indirection to save no memory.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum Scheduler {
     Shared {
@@ -949,10 +952,10 @@ impl BitmapScheduler {
         assert!(walkers_per_tenant > 0, "walkers < tenants");
         let mut owned = vec![0u64; n_tenants];
         let mut wtm = vec![TenantId(0); n_walkers];
-        for w in 0..n_walkers {
+        for (w, owner) in wtm.iter_mut().enumerate() {
             let t = (w / walkers_per_tenant).min(n_tenants - 1);
             owned[t] |= 1 << w;
-            wtm[w] = TenantId(t as u8);
+            *owner = TenantId(t as u8);
         }
         let initial_diff_thres = match &steal {
             StealMode::DwsPlusPlus(p) => p.diff_thres_for(1.0),

@@ -55,7 +55,6 @@ gate() {
 gate events_per_sec "end-to-end simulation"
 gate tlb_batch_ops_per_sec "batched TLB probe"
 gate walk_sched_batch_ops_per_sec "batched walk scheduler"
-gate mem_access_batch_ops_per_sec "batched memory system"
 
 if [ "$fail" -ne 0 ]; then
   echo "perf gate: FAIL"

@@ -22,9 +22,9 @@
 //! later one would have used — which is why the batch APIs are
 //! order-preserving rather than sorting.
 
-use walksteal::mem::{AccessKind, CacheConfig, DramConfig, MemSystem, MemSystemConfig};
+use walksteal::mem::{MemSystem, MemSystemConfig};
 use walksteal::multitenant::{GpuConfig, PolicyPreset};
-use walksteal::sim::{Cycle, LineAddr, Observer, PhysAddr, Ppn, SimRng, TenantId, Vpn};
+use walksteal::sim::{Cycle, Observer, PhysAddr, Ppn, SimRng, TenantId, Vpn};
 use walksteal::vm::walk::WalkContext;
 use walksteal::vm::{
     DispatchedWalk, FrameAlloc, PageSize, PageTable, PwCache, Replacement, StealMode, Tlb,
@@ -534,149 +534,6 @@ fn arena_tlb_probe_batch_matches_scalar() {
                 assert!(
                     batched.hits() > 0 && batched.misses() > 0,
                     "{kind:?}: the comparison saw no real hit/miss mix"
-                );
-            }
-        }
-    }
-}
-
-/// Everything the memory system exposes, compared between sides: the
-/// per-kind hit/DRAM statistics, the per-bank arbitration cursors, and the
-/// per-channel DRAM cursors plus its access/queue-wait accounting.
-fn assert_mem_eq(a: &MemSystem, b: &MemSystem, at: &str) {
-    assert_eq!(a.stats(), b.stats(), "stats @ {at}");
-    assert_eq!(a.bank_free(), b.bank_free(), "bank_free @ {at}");
-    assert_eq!(
-        a.dram().next_free(),
-        b.dram().next_free(),
-        "dram next_free @ {at}"
-    );
-    assert_eq!(
-        a.dram().accesses(),
-        b.dram().accesses(),
-        "dram accesses @ {at}"
-    );
-    assert!(
-        (a.dram_mean_queue_wait() - b.dram_mean_queue_wait()).abs() < 1e-12,
-        "dram queue wait @ {at}"
-    );
-}
-
-/// Memory-system hardware shapes the lockstep suite runs under. The
-/// bank count deliberately differs from the channel count in both
-/// directions, so requests that never collide on an L2 bank still collide
-/// on a DRAM channel (and vice versa) — the cross-resource contention the
-/// batch's per-bank grouping has to replay exactly.
-fn mem_shapes() -> Vec<MemSystemConfig> {
-    let tiny = CacheConfig { sets: 4, ways: 2 };
-    vec![
-        MemSystemConfig::default(),
-        // 4 banks over 2 channels: cross-bank channel conflicts.
-        MemSystemConfig {
-            l2_banks: 4,
-            l2_bank: tiny,
-            l2_hit_latency: 9,
-            l2_bank_occupancy: 3,
-            dram: DramConfig {
-                channels: 2,
-                access_latency: 40,
-                occupancy_cycles: 11,
-            },
-        },
-        // 2 banks over 8 channels: bank contention dominates.
-        MemSystemConfig {
-            l2_banks: 2,
-            l2_bank: tiny,
-            l2_hit_latency: 5,
-            l2_bank_occupancy: 4,
-            dram: DramConfig {
-                channels: 8,
-                access_latency: 60,
-                occupancy_cycles: 7,
-            },
-        },
-    ]
-}
-
-/// [`MemSystem::access_batch`] locksteps against element-wise
-/// [`MemSystem::access`]: per-request results, L2 contents, bank cursors,
-/// DRAM channel cursors, and statistics all match after every same-cycle
-/// batch, across hardware shapes, 2/3/4-tenant traffic mixes, and seeds —
-/// with the contention being replayed asserted non-vacuous.
-#[test]
-fn mem_access_batch_matches_scalar_lockstep() {
-    for (shape, cfg) in mem_shapes().into_iter().enumerate() {
-        for n_tenants in TENANT_COUNTS {
-            for seed in SEEDS {
-                let mut batched = MemSystem::new(cfg);
-                let mut scalar = MemSystem::new(cfg);
-                let mut rng = SimRng::new(seed ^ (shape as u64) << 32);
-                let mut now = Cycle::ZERO;
-                let mut lines: Vec<LineAddr> = Vec::new();
-                let mut out = Vec::new();
-                let (mut l2_hits, mut drams, mut bypasses) = (0u64, 0u64, 0u64);
-                for step in 0..250 {
-                    now += rng.next_below(4);
-                    let kind = match rng.next_below(10) {
-                        0..=1 => AccessKind::PageTable,
-                        2 => AccessKind::PageTableBypass,
-                        _ => AccessKind::Data,
-                    };
-                    // A cycle's coalesced misses: each tenant's warps touch
-                    // a private region (so the mix shifts with the tenant
-                    // count) with heavy line reuse for L2 hits.
-                    lines.clear();
-                    // Mostly warp-width bursts (the scalar-replay fast
-                    // path); every fourth step goes wider than GROUPED_MIN
-                    // so the grouped per-bank pass locksteps too.
-                    let width = if step % 4 == 0 {
-                        MemSystem::GROUPED_MIN as u64 + rng.next_below(32)
-                    } else {
-                        1 + rng.next_below(16)
-                    };
-                    for _ in 0..width {
-                        let t = rng.next_below(n_tenants as u64);
-                        lines.push(LineAddr((t << 10) | rng.next_below(96)));
-                    }
-                    out.clear();
-                    batched.access_batch(&lines, now, kind, &mut out);
-                    for (i, &line) in lines.iter().enumerate() {
-                        let want = scalar.access(line, now, kind);
-                        assert_eq!(
-                            out[i], want,
-                            "shape {shape} {n_tenants}t seed {seed:#x} step {step} req {i}"
-                        );
-                        match want.level {
-                            walksteal::mem::HitLevel::L2 => l2_hits += 1,
-                            walksteal::mem::HitLevel::Dram => drams += 1,
-                        }
-                        if kind == AccessKind::PageTableBypass {
-                            bypasses += 1;
-                        }
-                    }
-                    for &line in &lines {
-                        assert_eq!(
-                            batched.l2_contains(line),
-                            scalar.l2_contains(line),
-                            "shape {shape} step {step}: L2 contents diverged"
-                        );
-                    }
-                    assert_mem_eq(
-                        &batched,
-                        &scalar,
-                        &format!("shape {shape} {n_tenants}t seed {seed:#x} step {step}"),
-                    );
-                }
-                // The comparison must have covered real contention and a
-                // real hit/miss/bypass mix, not an idle memory system.
-                assert!(l2_hits > 0 && drams > 0 && bypasses > 0, "vacuous mix");
-                assert!(
-                    batched.dram_mean_queue_wait() > 0.0,
-                    "shape {shape}: no DRAM channel conflicts were replayed"
-                );
-                assert!(
-                    batched.bank_free().iter().any(|&c| c > Cycle::ZERO),
-                    "shape {shape}: no L2 bank contention was replayed"
                 );
             }
         }

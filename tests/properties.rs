@@ -322,14 +322,11 @@ fn walk_subsystem_conserves_walks() {
     fn drain_until(
         ws: &mut WalkSubsystem,
         scheduled: &mut Vec<DispatchedWalk>,
-        pts: &mut Vec<PageTable>,
-        frames: &mut FrameAlloc,
-        mem: &mut MemSystem,
+        ctx: &mut WalkContext<'_>,
         t: Cycle,
         completed: &mut u64,
         steal_off: bool,
     ) {
-        let mut obs = Observer::off();
         loop {
             scheduled.sort_by_key(|d| d.done_at);
             let Some(first) = scheduled.first().copied() else {
@@ -339,14 +336,7 @@ fn walk_subsystem_conserves_walks() {
                 break;
             }
             scheduled.remove(0);
-            let mut ctx = WalkContext {
-                page_tables: pts,
-                frames,
-                mem,
-                mask: None,
-                obs: &mut obs,
-            };
-            let (done, next) = ws.on_walker_done(first.walker, first.done_at, &mut ctx);
+            let (done, next) = ws.on_walker_done(first.walker, first.done_at, ctx);
             assert!(!(steal_off && done.stolen), "stole with stealing off");
             *completed += 1;
             if let Some(n) = next {
@@ -398,16 +388,6 @@ fn walk_subsystem_conserves_walks() {
 
         for &(t, v, dt) in &arrivals {
             now += dt;
-            drain_until(
-                &mut ws,
-                &mut scheduled,
-                &mut pts,
-                &mut frames,
-                &mut mem,
-                now,
-                &mut completed,
-                steal_off,
-            );
             let mut ctx = WalkContext {
                 page_tables: &mut pts,
                 frames: &mut frames,
@@ -415,6 +395,7 @@ fn walk_subsystem_conserves_walks() {
                 mask: None,
                 obs: &mut obs,
             };
+            drain_until(&mut ws, &mut scheduled, &mut ctx, now, &mut completed, steal_off);
             let req = WalkRequest {
                 tenant: TenantId(t),
                 vpn: Vpn(u64::from(t) * 0x10_0000 + v),
@@ -426,12 +407,17 @@ fn walk_subsystem_conserves_walks() {
                 }
             }
         }
+        let mut ctx = WalkContext {
+            page_tables: &mut pts,
+            frames: &mut frames,
+            mem: &mut mem,
+            mask: None,
+            obs: &mut obs,
+        };
         drain_until(
             &mut ws,
             &mut scheduled,
-            &mut pts,
-            &mut frames,
-            &mut mem,
+            &mut ctx,
             Cycle(u64::MAX / 2),
             &mut completed,
             steal_off,
