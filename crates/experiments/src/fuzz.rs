@@ -2,11 +2,10 @@
 //! delta-debugging shrinker, and self-contained JSON repro files.
 //!
 //! Every correctness guarantee in the repo — BitmapScheduler vs
-//! ReferenceScheduler lockstep, batched vs scalar entry points, the
-//! N-tenant invariant properties, trace-replay self-checks, fault-injection
-//! equivalence — historically ran only on the 13 calibrated apps and the
-//! curated sweep points. This module turns those oracles loose on the whole
-//! configuration space:
+//! ReferenceScheduler lockstep, the N-tenant invariant properties,
+//! trace-replay self-checks, fault-injection equivalence — historically
+//! ran only on the 13 calibrated apps and the curated sweep points. This
+//! module turns those oracles loose on the whole configuration space:
 //!
 //! 1. [`FuzzGen`] draws random [`FuzzScenario`]s from a seed: synthetic
 //!    tenants (arbitrary footprints and access patterns, via
@@ -16,7 +15,7 @@
 //!    [`PolicyPreset`], mid-run repartition schedules, and fault-injection
 //!    schedules reusing the `--inject-faults` machinery.
 //! 2. [`run_oracles`] runs one scenario through the stacked oracle:
-//!    * **lockstep** — optimized (batched) vs reference (scalar) walk
+//!    * **lockstep** — optimized (bitmap) vs reference (scan) walk
 //!      scheduler on identical traffic, per-step invariant checks through
 //!      the shared [`walksteal_vm::invariants`] module, inspection-view
 //!      agreement, and repartition events applied to both sides;
@@ -181,10 +180,10 @@ pub struct FuzzScenario {
     pub queue_entries: usize,
     /// Shared L2 TLB entries (multiple of 16, power-of-two sets).
     pub l2_tlb_entries: usize,
-    /// Shared L2 cache banks (power of two); the batched memory path
-    /// groups misses per bank, so this sets the contention geometry.
+    /// Shared L2 cache banks (power of two); accesses to one bank
+    /// serialize, so this sets the contention geometry.
     pub l2_banks: usize,
-    /// DRAM channels (power of two); the batch pass groups per channel.
+    /// DRAM channels (power of two).
     pub dram_channels: usize,
     /// Cycles one line transfer occupies its DRAM channel (> 0; the
     /// bandwidth term that creates queue waits under conflicts).
@@ -210,7 +209,7 @@ pub struct FuzzScenario {
 }
 
 /// What the oracle stack observed on a clean run — used by tests to assert
-/// the oracles were not vacuous (steals happened, batches were batched,
+/// the oracles were not vacuous (steals happened, requests were enqueued,
 /// faults actually fired).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleStats {
@@ -220,8 +219,8 @@ pub struct OracleStats {
     pub rejected: u64,
     /// Queued walks cancelled by timeline departures in the lockstep stage.
     pub cancelled: u64,
-    /// Requests that went through `try_enqueue_batch` on the optimized side.
-    pub batched: u64,
+    /// Enqueue attempts driven through both sides of the lockstep stage.
+    pub requests: u64,
     /// Events the end-to-end simulation processed.
     pub sim_events: u64,
     /// The end-to-end stage hit the internal event cap and was truncated.
@@ -749,22 +748,6 @@ impl Side {
         self.ws.try_enqueue(req, now, &mut ctx)
     }
 
-    fn enqueue_batch(
-        &mut self,
-        reqs: &[WalkRequest],
-        now: Cycle,
-        out: &mut Vec<Result<Option<DispatchedWalk>, WalkQueueFull>>,
-    ) {
-        let mut ctx = WalkContext {
-            page_tables: &mut self.page_tables,
-            frames: &mut self.frames,
-            mem: &mut self.mem,
-            mask: None,
-            obs: &mut self.obs,
-        };
-        self.ws.try_enqueue_batch(reqs, now, &mut ctx, out);
-    }
-
     /// Completes one walk, checking the no-consecutive-steal rule on the
     /// follow-on dispatch.
     fn complete(&mut self, d: DispatchedWalk) -> Result<Option<DispatchedWalk>, String> {
@@ -787,9 +770,8 @@ impl Side {
     }
 }
 
-/// Drives the optimized (batched) and reference (scalar) schedulers in
-/// lockstep through the scenario's traffic, repartition schedule, and
-/// invariant checks. Returns the lockstep slice of [`OracleStats`].
+/// Drives the optimized and reference schedulers in lockstep through the
+/// scenario's traffic, repartition schedule, and invariant checks. Returns the lockstep slice of [`OracleStats`].
 fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergence> {
     let div = |detail: String| Divergence {
         stage: "lockstep",
@@ -806,10 +788,9 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
     let mut now = Cycle::ZERO;
     let mut attempts_a = 0u64;
     let mut attempts_b = 0u64;
-    let mut batched = 0u64;
     let mut outstanding: Vec<DispatchedWalk> = Vec::new();
     let mut burst: Vec<WalkRequest> = Vec::new();
-    let mut batch_out = Vec::new();
+    let mut a_out = Vec::new();
     let mut next_repart = 0usize;
     let mut next_churn = 0usize;
     let mut cancelled = 0u64;
@@ -894,9 +875,11 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
             let vpn = Vpn((u64::from(t.0) << 32) | rng.next_below(4_000));
             burst.push(WalkRequest { tenant: t, vpn });
         }
+        // The whole burst is drawn before either side enqueues, and side A
+        // takes all of it before side B replays it.
         attempts_a += burst.len() as u64;
-        batched += burst.len() as u64;
-        a.enqueue_batch(&burst, now, &mut batch_out);
+        a_out.clear();
+        a_out.extend(burst.iter().map(|&req| a.enqueue(req, now)));
 
         // The planted bug: the reference shim drops the last request of
         // every fifth step's burst. Attempt accounting on the reference
@@ -910,7 +893,7 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
             burst.len()
         };
         attempts_b += burst.len() as u64;
-        for (i, (&req, ra)) in burst.iter().zip(&batch_out).enumerate() {
+        for (i, (&req, ra)) in burst.iter().zip(&a_out).enumerate() {
             if i >= b_take {
                 break;
             }
@@ -963,7 +946,7 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
         steals: stats.stolen.iter().sum(),
         rejected: stats.rejected.iter().sum(),
         cancelled,
-        batched,
+        requests: attempts_a,
         ..OracleStats::default()
     })
 }

@@ -9,11 +9,12 @@
 //!    reference [`BinaryHeapQueue`], reporting events/sec for each and
 //!    their ratio.
 //! 2. **Per-subsystem throughput** — steady-state ops/sec through each
-//!    stage of the translation hot path in isolation: L2 TLB probe/fill
-//!    (scalar and cycle-batched), page-walk cache, the partitioned walk
-//!    scheduler (scalar and batched enqueue + completion + steal
-//!    decisions), and warp-stream generation. When the end-to-end number
-//!    moves, these locate the subsystem responsible.
+//!    stage of the translation hot path in isolation, each through the
+//!    entry point the simulator calls: L2 TLB probe/fill, page-walk
+//!    cache, the partitioned walk scheduler (enqueue + completion + steal
+//!    decisions), scalar memory accesses, and warp-stream generation.
+//!    When the end-to-end number moves, these locate the subsystem
+//!    responsible.
 //! 3. **Whole-simulation throughput** — a quick-scale pair simulation,
 //!    reporting simulated events/sec end to end (best of ten runs).
 //! 4. **Parallel scaling** — the same batch of quick-scale simulations
@@ -36,7 +37,7 @@ use walksteal_sim_core::{
 use walksteal_vm::walk::WalkContext;
 use walksteal_vm::{
     DispatchedWalk, FrameAlloc, PageSize, PageTable, PwCache, Replacement, StealMode, Tlb,
-    TlbConfig, WalkConfig, WalkPolicyKind, WalkQueueFull, WalkRequest, WalkSubsystem,
+    TlbConfig, WalkConfig, WalkPolicyKind, WalkRequest, WalkSubsystem,
 };
 use walksteal_workloads::{paper_pairs, AppId, MemRef, WarpStream};
 
@@ -149,45 +150,6 @@ fn tlb_probe_rate() -> f64 {
     })
 }
 
-/// Batched L2-TLB throughput: the same mixed hit/miss stream as
-/// [`tlb_probe_rate`], resolved eight probes at a time through
-/// [`Tlb::probe_batch`], with each address repeated once the way warp
-/// divergence repeats them (so the batch's same-VPN dedupe stays on the
-/// measured profile). Reported as probes/sec, directly comparable to
-/// `tlb_probe_ops_per_sec`.
-fn tlb_batch_rate() -> f64 {
-    const BATCH: u64 = 8;
-    let mut tlb = Tlb::new(
-        TlbConfig {
-            sets: 64,
-            ways: 16,
-            replacement: Replacement::Lru,
-        },
-        2,
-    );
-    let mut rng = SimRng::new(11);
-    let mut now = Cycle::ZERO;
-    let mut probes: Vec<(TenantId, Vpn)> = Vec::new();
-    let mut out: Vec<Option<Ppn>> = Vec::new();
-    rate(2_000_000 / BATCH, || {
-        now += 1;
-        probes.clear();
-        let t = TenantId(rng.next_below(2) as u8);
-        for _ in 0..BATCH / 2 {
-            let vpn = Vpn(rng.next_below(4_096));
-            probes.push((t, vpn));
-            probes.push((t, vpn));
-        }
-        tlb.probe_batch(&probes, &mut out);
-        for (i, r) in out.iter().enumerate() {
-            if r.is_none() {
-                let (t, vpn) = probes[i];
-                tlb.fill(t, vpn, Ppn(vpn.0), now);
-            }
-        }
-    }) * BATCH as f64
-}
-
 /// Page-walk-cache probe + walk-fill throughput (128 entries, 4 levels).
 fn pwc_rate() -> f64 {
     let mut pwc = PwCache::new(128);
@@ -262,73 +224,6 @@ fn walk_scheduler_rate() -> f64 {
     })
 }
 
-/// Batched walk-scheduler throughput: the workload of
-/// [`walk_scheduler_rate`] with each cycle's arrivals enqueued through
-/// [`WalkSubsystem::try_enqueue_batch`], so one FWA/TWM mask pass serves
-/// the whole batch's steal decisions. Reported as requests/sec, directly
-/// comparable to `walk_scheduler_ops_per_sec`.
-fn walk_sched_batch_rate() -> f64 {
-    const BATCH: u64 = 4;
-    let mut ws = WalkSubsystem::new(WalkConfig {
-        policy: WalkPolicyKind::Partitioned(StealMode::Dws),
-        ..WalkConfig::default()
-    });
-    let mut pts = vec![
-        PageTable::new(TenantId(0), PageSize::Small4K),
-        PageTable::new(TenantId(1), PageSize::Small4K),
-    ];
-    let mut frames = FrameAlloc::new();
-    let mut mem = MemSystem::new(MemSystemConfig::default());
-    let mut obs = Observer::off();
-    let mut rng = SimRng::new(13);
-    let mut outstanding: Vec<DispatchedWalk> = Vec::new();
-    let mut reqs: Vec<WalkRequest> = Vec::new();
-    let mut results: Vec<Result<Option<DispatchedWalk>, WalkQueueFull>> = Vec::new();
-    let mut now = Cycle::ZERO;
-    rate(200_000 / BATCH, || {
-        now += 13;
-        reqs.clear();
-        for _ in 0..BATCH {
-            // Same skew as the scalar bench: the steal path stays live.
-            let t = TenantId(u8::from(rng.next_below(8) == 0));
-            let vpn = Vpn((u64::from(t.0) << 32) | rng.next_below(4_096));
-            reqs.push(WalkRequest { tenant: t, vpn });
-        }
-        let mut ctx = WalkContext {
-            page_tables: &mut pts,
-            frames: &mut frames,
-            mem: &mut mem,
-            mask: None,
-            obs: &mut obs,
-        };
-        ws.try_enqueue_batch(&reqs, now, &mut ctx, &mut results);
-        for r in results.drain(..) {
-            if let Ok(Some(d)) = r {
-                let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
-                outstanding.insert(pos, d);
-            }
-        }
-        while let Some(&d) = outstanding.first() {
-            if d.done_at > now {
-                break;
-            }
-            outstanding.remove(0);
-            let mut ctx = WalkContext {
-                page_tables: &mut pts,
-                frames: &mut frames,
-                mem: &mut mem,
-                mask: None,
-                obs: &mut obs,
-            };
-            let (_, next) = ws.on_walker_done(d.walker, d.done_at, &mut ctx);
-            if let Some(n) = next {
-                let pos = outstanding.partition_point(|o| o.done_at <= n.done_at);
-                outstanding.insert(pos, n);
-            }
-        }
-    }) * BATCH as f64
-}
-
 /// Memory-system throughput through the scalar [`MemSystem::access`] path:
 /// a mixed data/page-table stream over a 64 Ki-line footprint (so the L2
 /// banks see real hit/miss/eviction traffic), issued 16 lines per cycle.
@@ -372,23 +267,18 @@ fn stream_gen_rate() -> f64 {
 
 fn subsystems() -> Json {
     let tlb = tlb_probe_rate();
-    let tlb_batch = tlb_batch_rate();
     let pwc = pwc_rate();
     let walk = walk_scheduler_rate();
-    let walk_batch = walk_sched_batch_rate();
     let mem = mem_access_rate();
     let stream = stream_gen_rate();
     eprintln!(
-        "subsystems: tlb {tlb:.0} ops/s (batch {tlb_batch:.0}), pwc {pwc:.0} ops/s, \
-         walk sched {walk:.0} ops/s (batch {walk_batch:.0}), \
+        "subsystems: tlb {tlb:.0} ops/s, pwc {pwc:.0} ops/s, walk sched {walk:.0} ops/s, \
          mem {mem:.0} ops/s, stream gen {stream:.0} ops/s"
     );
     Json::Obj(vec![
         ("tlb_probe_ops_per_sec".into(), Json::Num(tlb)),
-        ("tlb_batch_ops_per_sec".into(), Json::Num(tlb_batch)),
         ("pwc_ops_per_sec".into(), Json::Num(pwc)),
         ("walk_scheduler_ops_per_sec".into(), Json::Num(walk)),
-        ("walk_sched_batch_ops_per_sec".into(), Json::Num(walk_batch)),
         ("mem_access_ops_per_sec".into(), Json::Num(mem)),
         ("stream_gen_ops_per_sec".into(), Json::Num(stream)),
     ])

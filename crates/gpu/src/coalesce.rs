@@ -49,19 +49,6 @@ pub fn coalesce(lanes: &[MemRef]) -> Vec<MemRef> {
     out
 }
 
-/// The number of distinct pages touched by a set of coalesced references —
-/// the instruction's translation demand.
-#[must_use]
-pub fn distinct_pages(refs: &[MemRef]) -> usize {
-    let mut pages: Vec<Vpn> = Vec::with_capacity(refs.len());
-    for r in refs {
-        if !pages.contains(&r.vpn) {
-            pages.push(r.vpn);
-        }
-    }
-    pages.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +76,6 @@ mod tests {
     fn divergent_instruction_fans_out() {
         let lanes: Vec<MemRef> = (0..8).map(|i| r(i, 0)).collect();
         assert_eq!(coalesce(&lanes).len(), 8);
-        assert_eq!(distinct_pages(&coalesce(&lanes)), 8);
     }
 
     #[test]
@@ -97,12 +83,11 @@ mod tests {
         let lanes = [r(9, 0), r(9, 1), r(9, 2)];
         let merged = coalesce(&lanes);
         assert_eq!(merged.len(), 3);
-        assert_eq!(distinct_pages(&merged), 1);
+        assert!(merged.iter().all(|m| m.vpn == Vpn(9)));
     }
 
     #[test]
     fn empty_input() {
         assert!(coalesce(&[]).is_empty());
-        assert_eq!(distinct_pages(&[]), 0);
     }
 }

@@ -208,6 +208,17 @@ fn two_tenant_config(preset: PolicyPreset) -> GpuConfig {
     GpuConfig::default().for_tenants(2).with_preset(preset)
 }
 
+/// An even `n_tenants` split: 8 SMs each and Table I's 16 walkers rounded
+/// up to a multiple of the tenant count (the scenario engine's
+/// `walkers_for_tenants`), so 3 tenants get 6 walkers apiece.
+fn split_config(preset: PolicyPreset, n_tenants: usize) -> GpuConfig {
+    GpuConfig::default()
+        .with_n_sms(8 * n_tenants)
+        .with_walkers(16usize.div_ceil(n_tenants) * n_tenants)
+        .for_tenants(n_tenants)
+        .with_preset(preset)
+}
+
 #[test]
 fn all_presets_match_reference_two_tenants() {
     for preset in PolicyPreset::ALL {
@@ -237,6 +248,34 @@ fn partitioned_presets_match_reference_four_tenants() {
             .for_tenants(4)
             .with_preset(preset);
         drive(&cfg, preset, 0xBEEF, 3_000, false);
+    }
+}
+
+#[test]
+fn all_presets_match_reference_three_tenants() {
+    for preset in PolicyPreset::ALL {
+        drive(&split_config(preset, 3), preset, 0x3E11, 3_000, false);
+    }
+}
+
+/// The policy-arena presets against the reference across 2/3/4-tenant
+/// splits, with the non-vacuity each design promises: MOSAIC and DE-GUARD
+/// ride DWS partitions and must provoke steals, while SE-TLB is MIG-style
+/// static partitioning and must never steal.
+#[test]
+fn arena_presets_match_reference_with_steal_nonvacuity() {
+    for preset in PolicyPreset::ARENA {
+        let mut stolen = 0;
+        for n_tenants in [2, 3, 4] {
+            for seed in [0xB1, 0xB2, 0xB3] {
+                stolen += drive(&split_config(preset, n_tenants), preset, seed, 4_000, false).0;
+            }
+        }
+        if preset == PolicyPreset::SubEntryTlb {
+            assert_eq!(stolen, 0, "SE-TLB static partitions must never steal");
+        } else {
+            assert!(stolen > 0, "{preset}: arena traffic produced no steals");
+        }
     }
 }
 

@@ -157,49 +157,14 @@ impl Tlb {
         None
     }
 
-    /// Resolves a same-cycle batch of probes in one pass over the tag
-    /// arrays. `out` is cleared and receives one result per probe, in
-    /// order.
-    ///
-    /// A probe never mutates tags, so every repeat of a `(tenant, vpn)`
-    /// within the batch resolves to the way its first lookup found:
-    /// consecutive repeats dedupe into a single tag scan whose result fans
-    /// out, with only the per-probe bookkeeping (tick, LRU stamp, hit/miss
-    /// counters) replayed. State evolution is identical to calling
-    /// [`probe`](Self::probe) once per element in order (pinned by
-    /// `tests/batch_differential.rs`).
-    pub fn probe_batch(&mut self, probes: &[(TenantId, Vpn)], out: &mut Vec<Option<Ppn>>) {
-        out.clear();
-        out.reserve(probes.len());
-        let mut memo: Option<(TenantId, Vpn, Option<usize>)> = None;
-        for &(tenant, vpn) in probes {
-            let way = match memo {
-                Some((t, v, way)) if (t, v) == (tenant, vpn) => way,
-                _ => {
-                    let way = self.find(tenant, vpn);
-                    memo = Some((tenant, vpn, way));
-                    way
-                }
-            };
-            self.tick += 1;
-            if let Some(i) = way {
-                self.last_use[i] = self.tick;
-                self.hits += 1;
-                out.push(Some(self.ppns[i]));
-            } else {
-                self.misses += 1;
-                out.push(None);
-            }
-        }
-    }
-
-    /// As [`probe_batch`](Self::probe_batch) for a single-tenant run of
-    /// probes, but stops after the first miss: a caller that *fills* on a
-    /// miss (so later probes could see different tags) batches the leading
-    /// hit run in one pass and resumes element-wise after handling the
-    /// miss. Returns how many probes were consumed — every consumed probe,
-    /// the trailing miss included, has its result in `out` and its
-    /// bookkeeping applied exactly as a scalar [`probe`](Self::probe).
+    /// Resolves a single-tenant run of probes in one pass, stopping after
+    /// the first miss: a caller that *fills* on a miss (so later probes
+    /// could see different tags) batches the leading hit run and resumes
+    /// element-wise after handling the miss. Consecutive repeats of a VPN
+    /// reuse the way the first lookup found. Returns how many probes were
+    /// consumed — every consumed probe, the trailing miss included, has
+    /// its result in `out` and its bookkeeping applied exactly as a scalar
+    /// [`probe`](Self::probe) (pinned by `tests/batch_differential.rs`).
     pub fn probe_run(&mut self, tenant: TenantId, vpns: &[Vpn], out: &mut Vec<Option<Ppn>>) -> usize {
         out.clear();
         let mut memo: Option<(Vpn, usize)> = None;
@@ -549,30 +514,6 @@ mod tests {
     fn share_zero_at_time_zero() {
         let t = tiny();
         assert_eq!(t.share_of(T0, Cycle(0)), 0.0);
-    }
-
-    #[test]
-    fn probe_batch_matches_scalar_probes() {
-        let mut a = tiny();
-        let mut b = tiny();
-        for (v, p) in [(0u64, 10u64), (2, 11), (5, 12)] {
-            a.fill(T0, Vpn(v), Ppn(p), Cycle(0));
-            b.fill(T0, Vpn(v), Ppn(p), Cycle(0));
-        }
-        let probes: Vec<(TenantId, Vpn)> = [0u64, 0, 3, 2, 2, 2, 5, 9, 9, 0]
-            .into_iter()
-            .map(|v| (T0, Vpn(v)))
-            .collect();
-        let mut batched = Vec::new();
-        a.probe_batch(&probes, &mut batched);
-        let scalar: Vec<Option<Ppn>> = probes.iter().map(|&(t, v)| b.probe(t, v)).collect();
-        assert_eq!(batched, scalar);
-        assert_eq!((a.hits(), a.misses()), (b.hits(), b.misses()));
-        // LRU state must match too: same eviction from here on.
-        assert_eq!(
-            a.fill(T0, Vpn(4), Ppn(1), Cycle(1)),
-            b.fill(T0, Vpn(4), Ppn(1), Cycle(1))
-        );
     }
 
     #[test]

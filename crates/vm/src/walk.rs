@@ -1789,30 +1789,6 @@ impl WalkSubsystem {
         }
     }
 
-    /// Accepts a same-cycle batch of L2-TLB misses in arrival order,
-    /// writing one result per request into `out` (cleared first).
-    ///
-    /// Same-cycle arrivals interact — an earlier arrival can take the queue
-    /// slot or idle walker a later one would have used — so the pass is
-    /// strictly order-preserving and equivalent to calling
-    /// [`try_enqueue`](Self::try_enqueue) once per request in order (pinned
-    /// by `tests/batch_differential.rs`); batching amortizes the per-call
-    /// setup and keeps one cycle's arrivals in a single cache-resident
-    /// sweep.
-    pub fn try_enqueue_batch(
-        &mut self,
-        reqs: &[WalkRequest],
-        now: Cycle,
-        ctx: &mut WalkContext<'_>,
-        out: &mut Vec<Result<Option<DispatchedWalk>, WalkQueueFull>>,
-    ) {
-        out.clear();
-        out.reserve(reqs.len());
-        for &req in reqs {
-            out.push(self.try_enqueue(req, now, ctx));
-        }
-    }
-
     /// Completes the walk on `walker` at cycle `now`.
     ///
     /// Returns the finished walk and, if the walker immediately picked up

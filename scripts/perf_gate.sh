@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Perf-smoke gate: run `repro --selftest-perf` and compare the end-to-end
-# simulation throughput — plus the batched translation subsystem rates —
-# against the checked-in BENCH_parallel.json baseline. The threshold is
-# generous — each gated number must stay above 70% of its baseline —
-# because CI runners are noisy and heterogeneous; the gate exists to catch
-# real regressions (an accidental O(n^2), a lost fast path, a batch entry
-# point silently degrading to element-wise cost), not single-digit drift.
+# simulation throughput — plus the L2-TLB probe and walk-scheduler rates,
+# measured through the scalar entry points the simulator calls — against
+# the checked-in BENCH_parallel.json baseline. The threshold is generous —
+# each gated number must stay above 70% of its baseline — because CI
+# runners are noisy and heterogeneous; the gate exists to catch real
+# regressions (an accidental O(n^2), a lost fast path), not single-digit
+# drift.
 #
 # `repro --selftest-perf` writes BENCH_parallel.json into its working
 # directory, so the selftest runs in a scratch dir and the checked-in
@@ -53,8 +54,8 @@ gate() {
 }
 
 gate events_per_sec "end-to-end simulation"
-gate tlb_batch_ops_per_sec "batched TLB probe"
-gate walk_sched_batch_ops_per_sec "batched walk scheduler"
+gate tlb_probe_ops_per_sec "L2 TLB probe"
+gate walk_scheduler_ops_per_sec "walk scheduler"
 
 if [ "$fail" -ne 0 ]; then
   echo "perf gate: FAIL"

@@ -103,7 +103,7 @@ cmp "$SMOKE/arena.txt" tests/golden/arena_suite.txt
 
 echo "== fuzz + cache-audit smoke =="
 # Replay the checked-in corpus plus a short seeded campaign through the
-# stacked differential oracle (scheduler lockstep, batched-vs-scalar,
+# stacked differential oracle (optimized-vs-reference scheduler lockstep,
 # trace-replay self-check, fault equivalence). Any divergence exits 1
 # after writing a minimized repro under results/fuzz/repros/.
 ./target/release/repro --fuzz 10 --fuzz-seed 42 2> "$SMOKE/fuzz.txt"

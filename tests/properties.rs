@@ -478,24 +478,6 @@ impl SchedSide {
         self.ws.try_enqueue(req, now, &mut ctx)
     }
 
-    /// A whole cycle's arrivals through the batched entry point the
-    /// simulator's hot loop uses.
-    fn enqueue_batch(
-        &mut self,
-        reqs: &[WalkRequest],
-        now: Cycle,
-        out: &mut Vec<Result<Option<DispatchedWalk>, walksteal::vm::WalkQueueFull>>,
-    ) {
-        let mut ctx = WalkContext {
-            page_tables: &mut self.page_tables,
-            frames: &mut self.frames,
-            mem: &mut self.mem,
-            mask: None,
-            obs: &mut self.obs,
-        };
-        self.ws.try_enqueue_batch(reqs, now, &mut ctx, out);
-    }
-
     fn complete(&mut self, d: DispatchedWalk) -> Option<DispatchedWalk> {
         let mut ctx = WalkContext {
             page_tables: &mut self.page_tables,
@@ -536,10 +518,8 @@ impl SchedSide {
 }
 
 /// Drives both scheduler implementations through lockstep random N-tenant
-/// traffic — the optimized side through the batched enqueue entry point,
-/// the reference side element-wise — checking the partitioned-scheduler
-/// invariants on both sides at every step and that the two sides'
-/// inspection views never diverge.
+/// traffic, checking the partitioned-scheduler invariants on both sides at
+/// every step and that the two sides' inspection views never diverge.
 /// Returns total steals, so callers can assert the run exercised stealing.
 fn drive_invariants(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) -> u64 {
     let cfg = WalkConfig {
@@ -563,7 +543,6 @@ fn drive_invariants(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) 
     let mut attempts = 0u64;
     let mut outstanding: Vec<DispatchedWalk> = Vec::new();
     let mut burst: Vec<WalkRequest> = Vec::new();
-    let mut batch_out = Vec::new();
 
     for step in 0..steps {
         now += 1 + rng.next_below(7);
@@ -598,15 +577,11 @@ fn drive_invariants(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) 
             burst.push(WalkRequest { tenant: t, vpn });
         }
         attempts += burst.len() as u64;
-        // The optimized side takes the cycle's arrivals through the
-        // batched entry point the simulator's hot loop uses; the reference
-        // side replays them element-wise. The invariants below must hold
-        // — and the two views agree — either way.
-        a.enqueue_batch(&burst, now, &mut batch_out);
-        for (i, (&req, ra)) in burst.iter().zip(&batch_out).enumerate() {
+        for (i, &req) in burst.iter().enumerate() {
+            let ra = a.enqueue(req, now);
             let rb = b.enqueue(req, now);
-            assert_eq!(*ra, rb, "step {step}: enqueue decision {i} diverged");
-            if let Ok(Some(d)) = *ra {
+            assert_eq!(ra, rb, "step {step}: enqueue decision {i} diverged");
+            if let Ok(Some(d)) = ra {
                 let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
                 outstanding.insert(pos, d);
             }
@@ -701,7 +676,6 @@ fn drive_churn(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) -> (u
     let mut cancelled = 0u64;
     let mut outstanding: Vec<DispatchedWalk> = Vec::new();
     let mut burst: Vec<WalkRequest> = Vec::new();
-    let mut batch_out = Vec::new();
     // Tenant 0 is pinned resident (the partition must never go empty);
     // the rest arrive and depart on the timeline below.
     let mut active = vec![true; n_tenants];
@@ -756,11 +730,11 @@ fn drive_churn(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) -> (u
             burst.push(WalkRequest { tenant: t, vpn });
         }
         attempts += burst.len() as u64;
-        a.enqueue_batch(&burst, now, &mut batch_out);
-        for (i, (&req, ra)) in burst.iter().zip(&batch_out).enumerate() {
+        for (i, &req) in burst.iter().enumerate() {
+            let ra = a.enqueue(req, now);
             let rb = b.enqueue(req, now);
-            assert_eq!(*ra, rb, "step {step}: enqueue decision {i} diverged");
-            if let Ok(Some(d)) = *ra {
+            assert_eq!(ra, rb, "step {step}: enqueue decision {i} diverged");
+            if let Ok(Some(d)) = ra {
                 let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
                 outstanding.insert(pos, d);
             }
@@ -985,9 +959,10 @@ fn sub_entry_tlb_isolates_tenants() {
 
 /// Dead-entry-guard safety property: the predictor only ever *bypasses*
 /// fills — a [`DeadGuardTlb`](walksteal::vm::DeadGuardTlb) probe hit is
-/// always the correct mapping, never stale or foreign — and under a
-/// stream-plus-hot-set mix it provably both learns dead evictions and
-/// bypasses fills.
+/// always the correct mapping, never stale or foreign, its structural
+/// invariants hold after every op including periodic tenant shootdowns —
+/// and under a stream-plus-hot-set mix it provably both learns dead
+/// evictions and bypasses fills.
 #[test]
 fn dead_guard_tlb_never_serves_stale_mappings() {
     use walksteal::vm::DeadGuardTlb;
@@ -1022,6 +997,11 @@ fn dead_guard_tlb_never_serves_stale_mappings() {
                 Some(hit) => assert_eq!(hit, want, "case {case} op {op}: stale or foreign"),
                 None => tlb.fill(TenantId(t), Vpn(v), want, now),
             }
+            if op % 97 == 96 {
+                tlb.invalidate_tenant(TenantId((op / 97 % 2) as u8), now);
+            }
+            tlb.check_invariants()
+                .unwrap_or_else(|e| panic!("case {case} op {op}: {e}"));
         }
         bypasses += tlb.bypasses();
         dead += tlb.dead_evictions();
