@@ -9,6 +9,8 @@
 //! L2 banks, DRAM channels, MSHRs, merge entries) back-pressure the pipeline
 //! exactly where the hardware would.
 
+use std::collections::VecDeque;
+
 use walksteal_gpu::{MemRef, SmState};
 use walksteal_mem::{AccessKind, MemSystem};
 use walksteal_sim_core::trace::{Observer, TraceEvent, TraceKind};
@@ -132,7 +134,7 @@ pub struct Simulation {
     /// L1-TLB MSHRs), re-tried when a walker completion frees capacity.
     /// Parked per tenant and woken round-robin so a walk-intensive tenant's
     /// backlog cannot starve another tenant's rare misses.
-    parked: Vec<std::collections::VecDeque<Waiter>>,
+    parked: Vec<VecDeque<Waiter>>,
     parked_rr: usize,
     /// Reusable same-cycle TLB batch buffers for `on_warp_mem`: the probed
     /// VPNs of a warp's coalesced references and their probe results.
@@ -267,7 +269,7 @@ impl Simulation {
             merge: FnvMap::with_capacity_and_hasher(cfg.merge_capacity, Default::default()),
             waiter_pool: Vec::new(),
             parked: (0..n_tenants)
-                .map(|_| std::collections::VecDeque::new())
+                .map(|_| VecDeque::new())
                 .collect(),
             parked_rr: 0,
             vpn_batch: Vec::new(),
@@ -641,9 +643,11 @@ impl Simulation {
         // operation, then dispatch them in the exact order the scalar
         // per-event loop would have popped them. Events pushed back at the
         // current cycle land in the (now empty) ring bucket and form the
-        // next batch, preserving FIFO order within the cycle.
+        // next batch, preserving FIFO order within the cycle. The batch is
+        // cleared, not dropped, so each drain swaps its storage back into
+        // the ring instead of copying events out.
         let max_cycles = self.cfg.max_cycles;
-        let mut batch: Vec<Event> = Vec::with_capacity(256);
+        let mut batch: VecDeque<Event> = VecDeque::new();
         'run: while let Some(at) = self.events.drain_cycle_into(&mut batch) {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
@@ -673,8 +677,8 @@ impl Simulation {
                     }
                 }
             }
-            for idx in 0..cut {
-                match batch[idx] {
+            for (idx, &event) in batch.iter().take(cut).enumerate() {
+                match event {
                     Event::WarpStart { sm, warp } => self.on_warp_start(sm.into(), warp.into()),
                     Event::WarpMem { sm, warp } => self.on_warp_mem(sm.into(), warp.into()),
                     Event::WalkerDone { walker } => self.on_walker_done(walker),

@@ -222,12 +222,17 @@ impl<T> EventQueue<T> {
     /// cycle while the caller processes the batch land in the (now empty)
     /// bucket and come back from the next call, exactly as `pop` would
     /// interleave them.
-    pub fn drain_cycle_into(&mut self, buf: &mut Vec<T>) -> Option<Cycle> {
+    ///
+    /// When `buf` is empty and no heap event is due, the bucket's storage is
+    /// swapped into `buf` instead of copied, and `buf`'s old storage becomes
+    /// the bucket's. A caller that clears and reuses one buffer therefore
+    /// moves no events at all.
+    pub fn drain_cycle_into(&mut self, buf: &mut VecDeque<T>) -> Option<Cycle> {
         let at = self.next_cycle()?;
         let c = at.0;
         // Heap entries at this cycle are always the oldest (see `pop`).
         while self.far.peek().is_some_and(|f| f.at == at) {
-            buf.push(self.far.pop().expect("peeked entry").payload);
+            buf.push_back(self.far.pop().expect("peeked entry").payload);
         }
         if c < self.cursor {
             // Only the heap holds events behind the window; the cycle is
@@ -239,7 +244,11 @@ impl<T> EventQueue<T> {
         if self.in_ring > 0 && !self.buckets[b].is_empty() {
             let bucket = &mut self.buckets[b];
             self.in_ring -= bucket.len();
-            buf.extend(bucket.drain(..));
+            if buf.is_empty() {
+                std::mem::swap(buf, bucket);
+            } else {
+                buf.append(bucket);
+            }
             self.clear_bit(b);
         }
         Some(at)
@@ -564,7 +573,7 @@ mod tests {
         q.push(Cycle(5), 1);
         q.push(Cycle(5), 2);
         q.push(Cycle(9), 3);
-        let mut buf = Vec::new();
+        let mut buf = VecDeque::new();
         assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(5)));
         assert_eq!(buf, [1, 2]);
         buf.clear();
@@ -588,20 +597,68 @@ mod tests {
         q.push(Cycle(c - 1), "nearer");
         assert_eq!(q.pop(), Some((Cycle(c - 1), "nearer")));
         q.push(Cycle(c), "new (ring)");
-        let mut buf = Vec::new();
+        let mut buf = VecDeque::new();
         assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(c)));
         assert_eq!(buf, ["old (heap)", "new (ring)"]);
     }
 
+    #[test]
+    fn drain_cycle_appends_to_a_non_empty_buffer() {
+        let mut q = EventQueue::new();
+        q.push(Cycle(2), 'b');
+        q.push(Cycle(2), 'c');
+        let mut buf = VecDeque::from(['a']);
+        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(2)));
+        assert_eq!(buf, ['a', 'b', 'c']);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn reused_buffer_swaps_bucket_storage_back_into_the_ring() {
+        let mut q = EventQueue::new();
+        let mut buf = VecDeque::new();
+        // A wide cycle grows its bucket's storage; draining it into the
+        // empty buffer hands that storage over without copying.
+        for i in 0..100 {
+            q.push(Cycle(1), i);
+        }
+        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(1)));
+        assert!(buf.iter().copied().eq(0..100));
+        let wide = buf.capacity();
+        assert!(wide >= 100);
+        // A narrow cycle: the buffer now holds that bucket's small storage,
+        // and the bucket got the wide one back.
+        buf.clear();
+        q.push(Cycle(2), 100);
+        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(2)));
+        assert_eq!(buf, [100]);
+        assert!(buf.capacity() < wide);
+        // A push at the drained cycle lands in that bucket, whose storage
+        // the next drain swaps back out.
+        buf.clear();
+        q.push(Cycle(2), 101);
+        q.push(Cycle(3), 102);
+        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(2)));
+        assert_eq!(buf, [101]);
+        assert_eq!(buf.capacity(), wide);
+        buf.clear();
+        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(3)));
+        assert_eq!(buf, [102]);
+        buf.clear();
+        assert_eq!(q.drain_cycle_into(&mut buf), None);
+    }
+
     /// Random pushes and cycle drains against the reference model popped
-    /// one event at a time.
+    /// one event at a time. The drain buffer is reused across calls, and
+    /// sometimes still holds the previous batch, so both the swap and the
+    /// append path run.
     fn differential_drain_run(seed: u64, ops: usize, horizon: u64) {
         let mut rng = SimRng::new(seed);
         let mut calendar = EventQueue::new();
         let mut reference = BinaryHeapQueue::new();
         let mut now = 0u64;
         let mut next_id = 0u64;
-        let mut buf = Vec::new();
+        let mut buf = VecDeque::new();
         for _ in 0..ops {
             if rng.chance(0.7) || calendar.is_empty() {
                 let at = Cycle(now + rng.next_below(horizon));
@@ -609,10 +666,14 @@ mod tests {
                 reference.push(at, next_id);
                 next_id += 1;
             } else {
-                buf.clear();
+                if rng.chance(0.8) {
+                    buf.clear();
+                }
+                let kept = buf.len();
                 let at = calendar.drain_cycle_into(&mut buf).expect("non-empty");
                 now = at.0;
-                for &got in &buf {
+                assert!(buf.len() > kept, "a drain returned no events");
+                for &got in buf.iter().skip(kept) {
                     let (rat, want) = reference.pop().expect("reference non-empty");
                     assert_eq!((at, got), (rat, want));
                 }

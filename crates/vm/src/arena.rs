@@ -104,7 +104,7 @@ pub struct SubEntryTlb {
     shared_fills: u64,
     /// Valid sub-entries per tenant, kept incrementally.
     occupancy: Vec<usize>,
-    occupancy_integral: Vec<f64>,
+    occupancy_integral: Vec<u64>,
     last_update: Cycle,
     rng: SimRng,
 }
@@ -134,7 +134,7 @@ impl SubEntryTlb {
             misses: 0,
             shared_fills: 0,
             occupancy: vec![0; n_tenants],
-            occupancy_integral: vec![0.0; n_tenants],
+            occupancy_integral: vec![0; n_tenants],
             last_update: Cycle::ZERO,
             rng: SimRng::new(0x0005_e71b ^ (cfg.sets * 31 + cfg.ways) as u64),
         }
@@ -198,10 +198,10 @@ impl SubEntryTlb {
     }
 
     fn advance_time(&mut self, now: Cycle) {
-        let dt = now.saturating_since(self.last_update) as f64;
-        if dt > 0.0 {
+        let dt = now.saturating_since(self.last_update);
+        if dt > 0 {
             for (acc, &occ) in self.occupancy_integral.iter_mut().zip(&self.occupancy) {
-                *acc += occ as f64 * dt;
+                *acc += occ as u64 * dt;
             }
             self.last_update = self.last_update.max(now);
         }
@@ -324,9 +324,8 @@ impl SubEntryTlb {
     /// over `[0, now]`.
     #[must_use]
     pub fn share_of(&self, tenant: TenantId, now: Cycle) -> f64 {
-        let mut integral = self.occupancy_integral[tenant.index()];
-        let dt = now.saturating_since(self.last_update) as f64;
-        integral += self.occupancy[tenant.index()] as f64 * dt;
+        let tail = self.occupancy[tenant.index()] as u64 * now.saturating_since(self.last_update);
+        let integral = (self.occupancy_integral[tenant.index()] + tail) as f64;
         let denom = now.0 as f64 * (self.cfg.entries() * SUB_ENTRIES) as f64;
         if denom == 0.0 {
             0.0

@@ -7,10 +7,13 @@
 //! [`FrameAlloc`] the first time a page is touched — mirroring first-touch
 //! demand allocation.
 //!
-//! The host-side layout is the radix tree itself: every node is a 512-slot
-//! array next to the simulated frame that holds it, so a walk does one
-//! indexed load per level and host memory grows with the page-table frames
-//! allocated, not with the span of VPNs touched.
+//! The host-side layout is the radix tree itself: every node is a boxed
+//! 512-slot array next to the simulated frame that holds it, so a walk does
+//! two dependent loads per level (the node, then its slots) and host memory
+//! grows with the page-table frames allocated, not with the span of VPNs
+//! touched. A slot is a `u32`: node ids and frame numbers come from bump
+//! counters, and a value that would reach `u32::MAX` panics instead of
+//! truncating.
 
 use walksteal_sim_core::{PhysAddr, Ppn, TenantId, Vpn};
 
@@ -28,7 +31,28 @@ const FANOUT: usize = 512;
 const SLOT_MASK: u64 = FANOUT as u64 - 1;
 
 /// An unset slot: no child node, or no page mapped.
-const EMPTY: u64 = u64::MAX;
+const EMPTY: u32 = u32::MAX;
+
+/// A node's slot array.
+type Slots = [u32; FANOUT];
+
+const _: () = assert!(
+    std::mem::size_of::<Slots>() == 2048,
+    "a node's slot array grew past 2 KiB; keep slots 32-bit"
+);
+
+/// Narrows a node id or data frame number to a slot.
+///
+/// # Panics
+///
+/// Panics if `value` does not fit below [`EMPTY`]: truncating it would
+/// silently alias another node or frame.
+fn to_slot(value: u64) -> u32 {
+    match u32::try_from(value) {
+        Ok(slot) if slot != EMPTY => slot,
+        _ => panic!("page-table slot overflow: {value} does not fit in a 32-bit slot"),
+    }
+}
 
 /// The result of resolving a [`Vpn`] through the radix tree.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -50,7 +74,10 @@ struct Node {
     /// In an interior node, the index into [`PageTable::nodes`] of the child
     /// each entry points to; in a last-level node, the data frame each
     /// entry maps. [`EMPTY`] where unset.
-    slots: Box<[u64; FANOUT]>,
+    ///
+    /// One `Box` per node, not one shared growing `Vec`: reallocating such
+    /// a `Vec` would briefly hold both copies and raise peak memory.
+    slots: Box<Slots>,
 }
 
 impl Node {
@@ -158,7 +185,7 @@ impl PageTable {
         let last = self.page_size.levels() - 1;
         let leaf = self.descend(vpn, last)?;
         let ppn = self.nodes[leaf].slots[self.index_at(vpn, last)];
-        (ppn != EMPTY).then_some(Ppn(ppn))
+        (ppn != EMPTY).then_some(Ppn(u64::from(ppn)))
     }
 
     /// The radix index used at `level` (0 = root) for `vpn`.
@@ -199,7 +226,7 @@ impl PageTable {
             let at = self.far.partition_point(|&(p, _)| p < prefix);
             self.far.insert(at, (prefix, id));
         } else {
-            self.nodes[node].slots[(prefix & SLOT_MASK) as usize] = id as u64;
+            self.nodes[node].slots[(prefix & SLOT_MASK) as usize] = to_slot(id as u64);
         }
         id
     }
@@ -255,7 +282,7 @@ impl PageTable {
         out.ppn = if mapped == EMPTY {
             self.map_group(node, vpn, frames)
         } else {
-            Ppn(mapped)
+            Ppn(u64::from(mapped))
         };
     }
 
@@ -271,7 +298,7 @@ impl PageTable {
         let frame_base = frames.alloc_contiguous(granules * self.reserve_pages).0;
         let slots = &mut self.nodes[leaf].slots;
         for i in 0..self.reserve_pages {
-            slots[((group_base + i) & SLOT_MASK) as usize] = frame_base + i * granules;
+            slots[((group_base + i) & SLOT_MASK) as usize] = to_slot(frame_base + i * granules);
         }
         self.touched_pages += self.reserve_pages;
         Ppn(frame_base + (vpn.0 - group_base) * granules)
@@ -377,6 +404,27 @@ mod tests {
     #[should_panic(expected = "reservation group")]
     fn reservation_wider_than_a_node_is_rejected() {
         let _ = PageTable::with_reservation(TenantId(0), PageSize::Small4K, 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "page-table slot overflow")]
+    fn data_frame_past_u32_max_panics_instead_of_truncating() {
+        let (mut pt, mut f) = pt();
+        pt.walk_path(Vpn(0), &mut f);
+        f.alloc_contiguous(u64::from(u32::MAX));
+        // Same leaf node as vpn 0: the only new frame is the data frame,
+        // which no longer fits a slot.
+        pt.walk_path(Vpn(1), &mut f);
+    }
+
+    #[test]
+    #[should_panic(expected = "page-table slot overflow")]
+    fn data_frame_equal_to_the_empty_marker_panics() {
+        let (mut pt, mut f) = pt();
+        pt.walk_path(Vpn(0), &mut f);
+        // Vpn 0 took the root, three interior nodes and one data frame.
+        f.alloc_contiguous(u64::from(u32::MAX) - f.allocated());
+        pt.walk_path(Vpn(1), &mut f);
     }
 
     #[test]

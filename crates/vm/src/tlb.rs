@@ -88,8 +88,9 @@ pub struct Tlb {
     misses: u64,
     /// Valid entries per tenant, kept incrementally.
     occupancy: Vec<usize>,
-    /// Time-integral of per-tenant occupancy, for share reporting.
-    occupancy_integral: Vec<f64>,
+    /// Time-integral of per-tenant occupancy (entry-cycles), for share
+    /// reporting.
+    occupancy_integral: Vec<u64>,
     last_update: Cycle,
     rng: SimRng,
 }
@@ -116,7 +117,7 @@ impl Tlb {
             hits: 0,
             misses: 0,
             occupancy: vec![0; n_tenants],
-            occupancy_integral: vec![0.0; n_tenants],
+            occupancy_integral: vec![0; n_tenants],
             last_update: Cycle::ZERO,
             rng: SimRng::new(0x71b5_eed0 ^ (cfg.sets * 31 + cfg.ways) as u64),
         }
@@ -196,10 +197,10 @@ impl Tlb {
 
     /// Integrates per-tenant occupancy up to `now`.
     fn advance_time(&mut self, now: Cycle) {
-        let dt = now.saturating_since(self.last_update) as f64;
-        if dt > 0.0 {
+        let dt = now.saturating_since(self.last_update);
+        if dt > 0 {
             for (acc, &occ) in self.occupancy_integral.iter_mut().zip(&self.occupancy) {
-                *acc += occ as f64 * dt;
+                *acc += occ as u64 * dt;
             }
             self.last_update = self.last_update.max(now);
         }
@@ -314,10 +315,10 @@ impl Tlb {
     /// `[0, now]`.
     #[must_use]
     pub fn share_of(&self, tenant: TenantId, now: Cycle) -> f64 {
-        let mut integral = self.occupancy_integral[tenant.index()];
-        // Include the un-integrated tail up to `now`.
-        let dt = now.saturating_since(self.last_update) as f64;
-        integral += self.occupancy[tenant.index()] as f64 * dt;
+        // Include the un-integrated tail up to `now`. Integer sums stay
+        // far below 2^53, so the one conversion below is exact.
+        let tail = self.occupancy[tenant.index()] as u64 * now.saturating_since(self.last_update);
+        let integral = (self.occupancy_integral[tenant.index()] + tail) as f64;
         let denom = now.0 as f64 * self.cfg.entries() as f64;
         if denom == 0.0 {
             0.0

@@ -957,6 +957,108 @@ fn sub_entry_tlb_isolates_tenants() {
     assert!(shared_fills > 0, "no cross-tenant sub-entry sharing occurred");
 }
 
+/// The calls [`share_integrals_match_f64_reference`] drives on each TLB
+/// organization that keeps its own occupancy integral.
+trait ShareTlb {
+    fn fill_at(&mut self, tenant: TenantId, vpn: Vpn, now: Cycle);
+    fn shoot_down(&mut self, tenant: TenantId, now: Cycle);
+    fn occupancy(&self, tenant: TenantId) -> usize;
+    fn share(&self, tenant: TenantId, now: Cycle) -> f64;
+}
+
+macro_rules! impl_share_tlb {
+    ($($tlb:ty),*) => {$(
+        impl ShareTlb for $tlb {
+            fn fill_at(&mut self, tenant: TenantId, vpn: Vpn, now: Cycle) {
+                self.fill(tenant, vpn, Ppn(vpn.0), now);
+            }
+            fn shoot_down(&mut self, tenant: TenantId, now: Cycle) {
+                self.invalidate_tenant(tenant, now);
+            }
+            fn occupancy(&self, tenant: TenantId) -> usize {
+                self.occupancy_of(tenant)
+            }
+            fn share(&self, tenant: TenantId, now: Cycle) -> f64 {
+                self.share_of(tenant, now)
+            }
+        }
+    )*};
+}
+
+impl_share_tlb!(Tlb, walksteal::vm::SubEntryTlb);
+
+/// Random fills, shootdowns and time steps on `tlb`, checking after each
+/// step that every tenant's `share_of` equals, bit for bit, a share whose
+/// occupancy integral is an `f64` sum of per-step `occupancy × dt`.
+fn check_share_bits(mut tlb: impl ShareTlb, capacity: usize, n_tenants: usize, rng: &mut SimRng) {
+    let mut integral = vec![0.0f64; n_tenants];
+    let (mut now, mut last) = (0u64, 0u64);
+    for op in 0..400 {
+        now += match rng.next_below(4) {
+            0 => 0,
+            1 => rng.next_below(8),
+            2 => rng.next_below(1_000),
+            _ => rng.next_below(1_000_000),
+        };
+        let dt = (now - last) as f64;
+        for (t, acc) in integral.iter_mut().enumerate() {
+            *acc += tlb.occupancy(TenantId(t as u8)) as f64 * dt;
+        }
+        last = now;
+        let t = TenantId(rng.next_below(n_tenants as u64) as u8);
+        if rng.chance(0.03) {
+            tlb.shoot_down(t, Cycle(now));
+        } else {
+            tlb.fill_at(t, Vpn(rng.next_below(256)), Cycle(now));
+        }
+        // Ask at `now` and a little past it, so the un-integrated tail
+        // counts too.
+        for ask in [now, now + rng.next_below(5_000)] {
+            let tail = (ask - last) as f64;
+            for (t, acc) in integral.iter().enumerate() {
+                let tid = TenantId(t as u8);
+                let denom = ask as f64 * capacity as f64;
+                let want = if denom == 0.0 {
+                    0.0
+                } else {
+                    (acc + tlb.occupancy(tid) as f64 * tail) / denom
+                };
+                let got = tlb.share(tid, Cycle(ask));
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "op {op} tenant {t}: {got} != {want}"
+                );
+            }
+        }
+    }
+}
+
+/// The TLBs integrate occupancy in integers and convert once in
+/// `share_of`; that must reproduce the `f64` accumulation exactly, since
+/// every product and partial sum is an integer below 2^53.
+#[test]
+fn share_integrals_match_f64_reference() {
+    use walksteal::vm::{SubEntryTlb, SUB_ENTRIES};
+
+    let mut rng = SimRng::new(0xEB);
+    let cfg = TlbConfig {
+        sets: 8,
+        ways: 4,
+        replacement: Replacement::Lru,
+    };
+    for _ in 0..8 {
+        let n_tenants = 1 + rng.next_below(4) as usize;
+        check_share_bits(Tlb::new(cfg, n_tenants), cfg.entries(), n_tenants, &mut rng);
+        check_share_bits(
+            SubEntryTlb::new(cfg, n_tenants),
+            cfg.entries() * SUB_ENTRIES,
+            n_tenants,
+            &mut rng,
+        );
+    }
+}
+
 /// Dead-entry-guard safety property: the predictor only ever *bypasses*
 /// fills — a [`DeadGuardTlb`](walksteal::vm::DeadGuardTlb) probe hit is
 /// always the correct mapping, never stale or foreign, its structural
