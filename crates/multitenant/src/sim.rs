@@ -391,6 +391,9 @@ impl Simulation {
             sc.active[t] = false;
             sc.departed_at[t] = Some(now.0);
             sc.throttled[t] = false;
+            // A departed victim's streak must not hold the throttles: they
+            // lift only once every streak is zero.
+            sc.violations[t] = 0;
             if evicted {
                 sc.evicted[t] = true;
                 sc.evictions += 1;
@@ -510,6 +513,11 @@ impl Simulation {
         for (victim, verdict, total) in verdicts {
             {
                 let sc = self.scenario.as_mut().expect("checked");
+                if !sc.active[victim] {
+                    // Evicted earlier in this check as another victim's
+                    // aggressor: its verdict must not restart a streak.
+                    continue;
+                }
                 let Some(met) = verdict else {
                     sc.violations[victim] = 0;
                     continue;
@@ -1557,6 +1565,68 @@ mod tests {
         );
         let churn = r.churn.unwrap();
         assert_eq!(churn.evictions, 0);
+    }
+
+    #[test]
+    fn departed_victim_cannot_pin_a_throttle() {
+        // MM's unmeetable target throttles GUPS, then MM leaves mid-streak.
+        // Throttles lift only when every streak is zero, so MM's must go
+        // with it: otherwise GUPS stays throttled while HS holds every
+        // walker, and GUPS never finishes.
+        let spec = ScenarioSpec::new()
+            .arrive(0, AppId::Mm)
+            .arrive(0, AppId::Gups)
+            .arrive(0, AppId::Hs)
+            .slo_target(0, 1)
+            .depart(5_000, 0)
+            .slo_policy(SloPolicy {
+                check_interval: 2_000,
+                evict_after: u32::MAX, // never evict: throttling only
+                min_samples: 8,
+            });
+        let r = churn_builder()
+            .n_sms(6)
+            .walkers(12)
+            .scenario(spec)
+            .build()
+            .run_budgeted(&RunBudget::unlimited().with_max_cycles(2_000_000))
+            .expect("the run ends before the cycle cap");
+        let churn = r.churn.unwrap();
+        assert!(churn.throttles >= 1, "GUPS was throttled: {churn:?}");
+        assert!(r.tenants[1].completed_executions >= 1, "{churn:?}");
+        assert!(r.tenants[2].completed_executions >= 1, "{churn:?}");
+    }
+
+    #[test]
+    fn evicted_aggressor_leaves_no_streak() {
+        // MM's unmeetable target evicts GUPS at a check where GUPS's own
+        // verdict, collected before the eviction, is a violation. Applied,
+        // that verdict would give a departed tenant a streak that no later
+        // check resets, and would throttle MM, GUPS's aggressor, for the
+        // rest of the run. Skipped, MM is never throttled and its streak
+        // goes on to evict HS as well.
+        let spec = ScenarioSpec::new()
+            .arrive(0, AppId::Mm)
+            .arrive(0, AppId::Gups)
+            .arrive(0, AppId::Hs)
+            .slo_target(0, 1)
+            .slo_target(1, 2_000)
+            .slo_policy(SloPolicy {
+                check_interval: 2_000,
+                evict_after: 2,
+                min_samples: 8,
+            });
+        let r = churn_builder()
+            .n_sms(6)
+            .walkers(12)
+            .scenario(spec)
+            .build()
+            .run_budgeted(&RunBudget::unlimited().with_max_cycles(2_000_000))
+            .expect("the run ends before the cycle cap");
+        let churn = r.churn.unwrap();
+        assert!(churn.tenants[1].evicted, "{churn:?}");
+        assert_eq!(churn.tenants[0].throttled_checks, 0, "{churn:?}");
+        assert!(churn.tenants[2].evicted, "{churn:?}");
     }
 
     #[test]

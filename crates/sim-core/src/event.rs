@@ -11,8 +11,8 @@
 //! events are overwhelmingly near-future (compute bursts, cache and DRAM
 //! latencies — all far shorter than the window), so push and pop are
 //! amortized O(1) instead of the O(log n) a heap pays per memory op.
-//! [`BinaryHeapQueue`] is the previous heap-based implementation, kept as a
-//! differential-testing reference model and benchmark baseline.
+//! The previous heap-based implementation lives on in this module's tests
+//! as the reference model the calendar queue is checked against.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -296,80 +296,48 @@ impl<T> fmt::Debug for EventQueue<T> {
     }
 }
 
-/// The previous `BinaryHeap`-based event queue.
-///
-/// Functionally identical to [`EventQueue`] (same total order: cycle, then
-/// insertion). Retained as the reference model for the calendar queue's
-/// differential tests and as the baseline for the `repro --selftest-perf`
-/// events/sec comparison.
-pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<FarEntry<T>>,
-    next_seq: u64,
-}
-
-impl<T> BinaryHeapQueue<T> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` at cycle `at`.
-    pub fn push(&mut self, at: Cycle, payload: T) {
-        self.heap.push(FarEntry {
-            at,
-            seq: self.next_seq,
-            payload,
-        });
-        self.next_seq += 1;
-    }
-
-    /// Removes and returns the earliest event (FIFO within a cycle).
-    pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
-    }
-
-    /// The cycle of the earliest pending event.
-    #[must_use]
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for BinaryHeapQueue<T> {
-    fn default() -> Self {
-        BinaryHeapQueue::new()
-    }
-}
-
-impl<T> fmt::Debug for BinaryHeapQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BinaryHeapQueue")
-            .field("pending", &self.len())
-            .field("next_cycle", &self.next_cycle())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+
+    /// The previous `BinaryHeap`-based event queue, kept as the reference
+    /// model for the calendar queue's differential tests: the same total
+    /// order (cycle, then insertion) from a plain heap.
+    struct BinaryHeapQueue<T> {
+        heap: BinaryHeap<FarEntry<T>>,
+        next_seq: u64,
+    }
+
+    impl<T> BinaryHeapQueue<T> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: Cycle, payload: T) {
+            self.heap.push(FarEntry {
+                at,
+                seq: self.next_seq,
+                payload,
+            });
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Cycle, T)> {
+            self.heap.pop().map(|e| (e.at, e.payload))
+        }
+
+        fn next_cycle(&self) -> Option<Cycle> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     #[test]
     fn orders_by_cycle() {
@@ -440,8 +408,6 @@ mod tests {
         let dbg = format!("{q:?}");
         assert!(dbg.contains("pending"), "{dbg}");
         assert!(dbg.contains('5'), "{dbg}");
-        let hq = BinaryHeapQueue::<u8>::new();
-        assert!(format!("{hq:?}").contains("pending"));
     }
 
     #[test]

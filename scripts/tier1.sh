@@ -15,15 +15,49 @@ cargo test -q --workspace
 echo "== determinism: serial vs --jobs 4 =="
 cargo test -q --test determinism
 
-echo "== perf gate: selftest vs checked-in baseline =="
-PERF_GATE_JOBS="${TIER1_JOBS:-4}" bash scripts/perf_gate.sh
+SMOKE=$(mktemp -d)
+trap 'rm -rf "$SMOKE"' EXIT
+
+echo "== perf A/B comparison: fixture verdicts =="
+# scripts/perf_ab.sh decides with scripts/perf_ab.jq; feed it fabricated
+# perfbench outputs (10 pairs of every BENCHMARK.json workload) and check
+# its verdict on four cases, so this step does not depend on the host.
+# fixture <change events_per_s factor> <pair-1 change digest> <pair-1 change failed>
+fixture() {
+  jq -cn --slurpfile bench BENCHMARK.json --argjson slow "$1" --arg digest "$2" --argjson failed "$3" '
+    $bench[0] as $b | $b.workloads[].name as $w | range(1; 11) as $p | ("base", "change") as $side
+    | ($side == "change" and $p == 1) as $planted
+    | {workload: $w, pair: $p, side: $side,
+       out: ("perfbench workload=\($w) seed=42 seconds=20 trace=0 host: cpu=\"fixture\" nproc=2\n"
+         + "result_digest=\(if $planted then $digest else "0x1" end)\n"
+         + ({correct: true, attempted: 1, failed: (if $planted then $failed else 0 end),
+             metrics: ([$b.end_to_end[] | {key: .name, value: {value:
+               (if .name == "events_per_s" and $side == "change" then 100 * $slow else 100 end)}}]
+               | from_entries)} | tojson))}'
+}
+# verdict <expected exit> <fixture args...>
+verdict() {
+  local want="$1" rc=0
+  shift
+  fixture "$@" | jq -rn --slurpfile bench BENCHMARK.json -f scripts/perf_ab.jq > "$SMOKE/ab.txt" 2>&1 || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    cat "$SMOKE/ab.txt" >&2
+    echo "perf A/B fixture ($*): expected exit $want, got $rc" >&2
+    exit 1
+  fi
+}
+verdict 0 1 0x1 0
+verdict 1 0.5 0x1 0
+grep -q "FAIL .*events_per_s: slower" "$SMOKE/ab.txt"
+verdict 1 1 0x2 0
+grep -q "result_digest differs" "$SMOKE/ab.txt"
+verdict 1 1 0x1 1
+grep -q "failed simulations" "$SMOKE/ab.txt"
 
 echo "== fault-injection smoke =="
 # Inject a job panic plus a corrupt cache file into a quick-scale run: the
 # suite must survive (quarantine + retry), exit with code 2, and still print
 # byte-identical tables.
-SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
 ./target/release/repro --quick --jobs 1 --cache "$SMOKE/cache" fig9 > "$SMOKE/clean.txt"
 rc=0
 ./target/release/repro --quick --cache "$SMOKE/cache" \

@@ -11,7 +11,7 @@
 //! To update after an *intentional* behavior change:
 //!
 //! ```text
-//! cargo run --release --bin repro -- --quick --cache $(mktemp -d) \
+//! cargo run --release -p walksteal-experiments --bin repro -- --quick --cache $(mktemp -d) \
 //!     churn_light churn_heavy sens_churn > tests/golden/churn_suite.txt
 //! ```
 //!
@@ -20,6 +20,7 @@
 use walksteal::experiments::churn;
 use walksteal::experiments::suite::ExpContext;
 use walksteal::experiments::{Scale, Store};
+use walksteal::multitenant::RunBudget;
 
 const GOLDEN: &str = include_str!("golden/churn_suite.txt");
 
@@ -27,11 +28,20 @@ const GOLDEN: &str = include_str!("golden/churn_suite.txt");
 fn churn_suite_stdout_matches_golden_snapshot() {
     let mut ctx = ExpContext::new(Scale::Quick, Store::in_memory());
     ctx.jobs = 4;
+    // Every churn run ends far below this cap. A run that reaches it has
+    // starved a tenant; it fails here in seconds instead of spinning to the
+    // 200M-cycle default. The cap changes no output.
+    ctx.budget = RunBudget::unlimited().with_max_cycles(1_000_000);
     let tables = [
         ctx.run(churn::churn_light),
         ctx.run(churn::churn_heavy),
         ctx.run(churn::sens_churn),
     ];
+    assert!(
+        ctx.failures().is_empty(),
+        "churn jobs failed: {:?}",
+        ctx.failures()
+    );
     let got: String = tables.iter().map(|t| format!("{t}\n")).collect();
 
     if got != GOLDEN {

@@ -12,7 +12,7 @@
 //! To update after an *intentional* behavior change:
 //!
 //! ```text
-//! cargo run --release --bin repro -- --quick --cache $(mktemp -d) > tests/golden/quick_suite.txt
+//! cargo run --release -p walksteal-experiments --bin repro -- --quick --cache $(mktemp -d) > tests/golden/quick_suite.txt
 //! ```
 //!
 //! and justify the diff in the PR description.
